@@ -40,6 +40,7 @@ from .closure import (
 )
 from .complexes import (
     ComplexPair,
+    Inclusion,
     SimplicialComplex,
     SimplicialVertexMap,
     are_contiguous,

@@ -30,7 +30,7 @@ from .documents import (
     result_document,
     serialize_result,
 )
-from .complexes import pair_complex, vr_complex
+from .complexes import ComplexPair, full_subcomplex, pair_complex, vr_complex
 from .homology import INTEGERS, RATIONALS, Coefficients, homology, prime_field
 from .relations import SemiUniformBase, is_symmetric, scale_base
 from .semiuniform import limit_homology
@@ -114,8 +114,11 @@ def _cmd_homology(args, out) -> int:
         if report.cohomology_result is not None:
             results["cohomology_betti"] = list(report.cohomology_result.betti[: args.max_dim])
     elif doc.kind == "complex":
+        if args.scale is not None or args.delta is not None:
+            raise ValueError("--scale and --delta apply to distance tables, not complex documents")
         k = document_to_complex(doc, max_dim=args.max_dim)
-        result = homology(k, coeffs, reduced=args.reduced)
+        obj = k if subset is None else ComplexPair(k, full_subcomplex(k, subset))
+        result = homology(obj, coeffs, reduced=args.reduced)
         results = _betti_payload(result, args.max_dim)
     else:
         raise ValueError("homology reads a distance table or a complex document; "

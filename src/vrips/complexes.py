@@ -68,6 +68,11 @@ class SimplicialComplex:
         """Top occupied dimension; -1 for the empty complex."""
         return len(self.simplices) - 1
 
+    @property
+    def reliable_top(self) -> int:
+        """Highest dimension whose homology the enumeration cap cannot distort."""
+        return self.max_dim if self.complete else self.max_dim - 1
+
     def layer(self, k: int) -> tuple[Simplex, ...]:
         if 0 <= k <= self.top_dim:
             return self.simplices[k]
@@ -114,6 +119,10 @@ class ComplexPair:
             for s in self.sub.layer(k):
                 if not self.total.has(s):
                     raise ValueError(f"subcomplex simplex {s} is not in the total complex")
+
+    @property
+    def reliable_top(self) -> int:
+        return self.total.reliable_top
 
 
 def _clique_layers(n: int, nbr_above, accept, max_dim: int):
@@ -346,6 +355,35 @@ class SimplicialVertexMap:
                         f"vertex map is not simplicial: {s} maps onto {image}, "
                         "which is not a codomain simplex"
                     )
+
+
+@dataclass(frozen=True)
+class Inclusion:
+    """A complex inside a larger complex, or a pair inside a larger pair.
+
+    Both ends live on the same space. For pairs the subcomplex must sit
+    inside the other subcomplex as well, so the inclusion is a map of
+    pairs.
+    """
+
+    domain: SimplicialComplex | ComplexPair
+    codomain: SimplicialComplex | ComplexPair
+
+    def __post_init__(self):
+        kinds = {type(self.domain), type(self.codomain)}
+        if kinds == {ComplexPair}:
+            ends = ((self.domain.total, self.codomain.total), (self.domain.sub, self.codomain.sub))
+        elif kinds == {SimplicialComplex}:
+            ends = ((self.domain, self.codomain),)
+        else:
+            raise TypeError("an inclusion joins two complexes or two pairs")
+        for small, big in ends:
+            if small.space != big.space:
+                raise ValueError("inclusion ends live on different spaces")
+            for layer in small.simplices:
+                for s in layer:
+                    if not big.has(s):
+                        raise ValueError(f"simplex {s} is not in the codomain")
 
 
 def simplicial_map(f, dom: SimplicialComplex, cod: SimplicialComplex) -> SimplicialVertexMap:

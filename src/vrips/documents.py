@@ -220,6 +220,8 @@ def parse_space_json(text: str) -> SpaceDocument:
         data = json.loads(text, parse_float=Fraction)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", exc.lineno) from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
     _expect(isinstance(data, dict), "top level must be an object")
     kind = data.get("kind")
     _expect(kind in ("distance", "graph", "closure", "complex"),

@@ -1,16 +1,35 @@
 """Exact simplicial homology, cohomology, and induced maps.
 
-Boundary matrices are integer matrices over the canonical bases given by
-the lexicographic simplex order. Integer homology goes through a Smith
-normal form with full unimodular transform tracking in arbitrary
-precision; field homology (rationals or a prime field) goes through
-exact Gaussian elimination. Nothing here ever touches floating point.
+Chains live on the canonical bases given by the lexicographic simplex
+order, and boundaries stay sparse: column j of d_k holds the signed
+faces of the j-th k-simplex as {row: coefficient}. One column reduction
+serves every computation (Edelsbrunner and Harer, Computational
+Topology, ch. VII). Columns are reduced left to right until their
+lowest nonzero rows are distinct, which gives R = D V with every pivot
+of R normalised to 1; the pivot count is the rank. Working from the top
+dimension down, a column of d_k whose index is a pivot row of d_{k+1}
+is known to reduce to zero and is skipped (clearing). Field arithmetic
+is exact: integers and Fractions for the rationals, residues for a
+prime field. Cohomology reduces the transposed (coboundary) columns
+with the same loop, from the bottom dimension up.
 
-Induced maps are computed over a field only: homology bases are chosen
-deterministically by extending a boundary-space basis to a cycle-space
-basis, so maps between the same complexes are directly comparable as
-matrices. The long exact sequence check wires the inclusion, quotient,
-and connecting maps together and verifies exactness by rank counting.
+Over the integers the same loop runs while every pivot is +1 or -1. The
+pivot rows then form a unit triangular minor, so the rank is the pivot
+count and the group below has no torsion. A degree that meets any other
+pivot falls back to a dense Smith normal form for its rank and torsion;
+smith_normal_form stays public, with full transform tracking. Dense
+IntegerMatrix boundaries are only built for boundary_matrices and for
+that fallback. Nothing here ever touches floating point.
+
+Induced maps are computed over a field only, relative to deterministic
+homology bases. In degree k the representatives are the reduction
+records (columns of V) of the d_k columns that reduce to zero and are
+not pivot rows of d_{k+1}. Together with the reduced columns of d_{k+1}
+they have distinct lowest rows, so coordinates come from
+back-substitution on those rows. Maps between the same complexes
+therefore compare as plain matrices. The long exact sequence check
+wires the inclusion, quotient, and connecting maps together and
+verifies exactness by rank counting.
 """
 
 from __future__ import annotations
@@ -18,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import ComplexPair, SimplicialComplex, SimplicialVertexMap, chain_image
+from .complexes import ComplexPair, Inclusion, SimplicialComplex, SimplicialVertexMap, chain_image
 
 Simplex = tuple[int, ...]
 
@@ -72,73 +91,12 @@ def prime_field(p: int) -> Coefficients:
     return Coefficients("Fp", p)
 
 
-class _QField:
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def from_int(n):
-        return Fraction(n)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def inv(a):
-        return 1 / a
-
-
-class _FpField:
-    def __init__(self, p: int):
-        self.p = p
-        self.zero = 0
-        self.one = 1 % p
-
-    def from_int(self, n):
-        return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
-
-
-def _field_of(coeffs: Coefficients):
-    if coeffs.kind == "Q":
-        return _QField()
-    if coeffs.kind == "Fp":
-        return _FpField(coeffs.p)
-    return None
-
-
-def _require_field(coeffs: Coefficients, what: str):
-    field = _field_of(coeffs)
-    if field is None:
+def _field_modulus(coeffs: Coefficients, what: str) -> int | None:
+    """The prime of a prime field, None for the rationals; Z is refused."""
+    if not coeffs.is_field:
         raise ValueError(f"{what} needs field coefficients (rationals or a prime field)")
-    return field
+    return coeffs.p
+
 
 
 # --------------------------------------------------------------------------
@@ -336,93 +294,90 @@ def _snf_diagonal(mat: IntegerMatrix) -> list[int]:
     return d
 
 
+
 # --------------------------------------------------------------------------
-# field linear algebra (dense, exact)
+# sparse column reduction
 
 
-def _f_rref(rows, field, width):
-    """In-place style reduced row echelon form; returns (rows, pivot_cols)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    pr = 0
-    for col in range(width):
-        hit = next((i for i in range(pr, len(rows)) if rows[i][col] != field.zero), None)
-        if hit is None:
-            continue
-        rows[pr], rows[hit] = rows[hit], rows[pr]
-        inv = field.inv(rows[pr][col])
-        rows[pr] = [field.mul(inv, x) for x in rows[pr]]
-        lead = rows[pr]
-        for i in range(len(rows)):
-            if i != pr and rows[i][col] != field.zero:
-                f = rows[i][col]
-                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], lead)]
-        pivots.append(col)
-        pr += 1
-        if pr == len(rows):
-            break
-    return rows, pivots
+def _axpy(dst: dict, c, src: dict, p: int | None) -> None:
+    """dst -= c * src in place, over Q when p is None, else modulo p."""
+    for r, x in src.items():
+        y = dst.get(r, 0) - c * x
+        if p:
+            y %= p
+        if y:
+            dst[r] = y
+        else:
+            del dst[r]  # c * x is nonzero, so r was present
 
 
-def _f_rank(rows, field, width) -> int:
-    return len(_f_rref(rows, field, width)[1])
+def _clean(vec: dict, p: int | None) -> dict:
+    """Reduce entries modulo p when given and drop the zeros."""
+    if p:
+        return {r: y for r, x in vec.items() if (y := x % p)}
+    return {r: x for r, x in vec.items() if x}
 
 
-def _f_kernel_basis(rows, field, n_rows, n_cols):
-    """Basis of the null space of an n_rows x n_cols matrix, as vectors."""
-    red, pivots = _f_rref(rows, field, n_cols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
-        vec = [field.zero] * n_cols
-        vec[free] = field.one
-        for r, pc in enumerate(pivots):
-            vec[pc] = field.neg(red[r][free])
-        basis.append(vec)
-    return basis
+@dataclass(frozen=True)
+class _Reduction:
+    """Outcome of one column reduction R = D V.
 
-
-def _f_solver(columns, field, height):
-    """Prepare repeated solving of [columns] x = v for vectors of given height.
-
-    Eliminates once on the matrix augmented with an identity, then each
-    solve is a matrix-vector product plus a consistency scan. Returns
-    (solve, rank) where solve gives None on inconsistent input.
+    pivots maps each pivot row to its reduced column, normalised to 1 at
+    that row. When V is kept, records maps the same rows to the matching
+    columns of V, and cycles lists (index, V column) for the columns
+    that reduced to zero. stalled marks an integral reduction that
+    stopped at a pivot other than +1 or -1; its pivots so far are valid.
     """
-    m = len(columns)
-    aug = []
-    for i in range(height):
-        row = [columns[j][i] for j in range(m)]
-        row.extend(field.one if k == i else field.zero for k in range(height))
-        aug.append(row)
-    red, pivots = _f_rref(aug, field, m)
-    rank = len(pivots)
 
-    def solve(v):
-        x = [field.zero] * m
-        for r in range(len(red)):
-            acc = field.zero
-            row = red[r]
-            for k in range(height):
-                if v[k] != field.zero and row[m + k] != field.zero:
-                    acc = field.add(acc, field.mul(row[m + k], v[k]))
-            if r < rank:
-                x[pivots[r]] = acc
-            elif acc != field.zero:
-                return None
-        return x
-
-    return solve, rank
+    pivots: dict
+    records: dict | None = None
+    cycles: list | None = None
+    stalled: bool = False
 
 
-def _f_dot(xs, ys, field):
-    acc = field.zero
-    for x, y in zip(xs, ys):
-        if x != field.zero and y != field.zero:
-            acc = field.add(acc, field.mul(x, y))
-    return acc
+def _reduce(columns, p: int | None, clear=(), keep_v: bool = False,
+            integral: bool = False) -> _Reduction:
+    """Reduce sparse columns left to right until their lowest rows differ.
+
+    Columns hold nonzero entries only. p None works over the rationals,
+    otherwise modulo the prime p. Columns whose index is in clear are
+    skipped: the caller knows they reduce to zero. integral stops at the
+    first pivot that is not a unit over the integers, so everything
+    before it stays integral.
+    """
+    pivots: dict = {}
+    records: dict | None = {} if keep_v else None
+    cycles: list | None = [] if keep_v else None
+    for j, col in enumerate(columns):
+        if j in clear:
+            continue
+        col = {r: x % p for r, x in col.items()} if p else dict(col)
+        v = {j: 1} if keep_v else None
+        while col:
+            low = max(col)
+            piv = pivots.get(low)
+            if piv is None:
+                break
+            c = col[low]
+            _axpy(col, c, piv, p)
+            if keep_v:
+                _axpy(v, c, records[low], p)
+        if not col:
+            if keep_v:
+                cycles.append((j, v))
+            continue
+        a = col[low]
+        if a != 1:
+            if integral and a != -1:
+                return _Reduction(pivots, records, cycles, stalled=True)
+            inv = pow(a, -1, p) if p else (-1 if a == -1 else 1 / Fraction(a))
+            col = _clean({r: x * inv for r, x in col.items()}, p)
+            if keep_v:
+                v = _clean({r: x * inv for r, x in v.items()}, p)
+        pivots[low] = col
+        if keep_v:
+            records[low] = v
+    return _Reduction(pivots, records, cycles)
 
 
 # --------------------------------------------------------------------------
@@ -431,66 +386,71 @@ def _f_dot(xs, ys, field):
 
 @dataclass(frozen=True)
 class _Chains:
-    """Bases and integer boundary matrices of a chain complex.
+    """Simplex bases of a chain complex, with boundaries built on demand.
 
     bases[k] lists the dimension-k basis simplices (for a pair, the
-    total simplices outside the subcomplex). boundaries[k] maps degree k
-    to degree k-1; index 0 holds a shape-correct zero map.
+    total simplices outside the subcomplex).
     """
 
     bases: tuple[tuple[Simplex, ...], ...]
-    boundaries: tuple[IntegerMatrix, ...]
     relative_nonempty: bool = False
 
     @property
     def top(self) -> int:
         return len(self.bases) - 1
 
+    def cells(self, k: int) -> tuple[Simplex, ...]:
+        return self.bases[k] if 0 <= k <= self.top else ()
+
     def n(self, k: int) -> int:
-        return len(self.bases[k]) if 0 <= k <= self.top else 0
+        return len(self.cells(k))
 
-    def boundary(self, k: int) -> IntegerMatrix:
-        if 1 <= k <= self.top:
-            return self.boundaries[k]
-        return IntegerMatrix(self.n(k - 1), self.n(k), tuple(tuple(0 for _ in range(self.n(k))) for _ in range(self.n(k - 1))))
+    def columns(self, k: int) -> list[dict]:
+        """Sparse columns of d_k; faces outside the lower basis drop out."""
+        if k < 1:
+            return [{} for _ in self.cells(k)]
+        index = {s: i for i, s in enumerate(self.cells(k - 1))}
+        cols = []
+        for s in self.cells(k):
+            col = {}
+            for drop in range(k + 1):
+                i = index.get(s[:drop] + s[drop + 1:])
+                if i is not None:
+                    col[i] = -1 if drop % 2 else 1
+            cols.append(col)
+        return cols
 
+    def cocolumns(self, k: int) -> list[dict]:
+        """Sparse columns of the transpose of d_k, one per (k-1)-cell."""
+        co = [{} for _ in self.cells(k - 1)]
+        for j, col in enumerate(self.columns(k)):
+            for i, x in col.items():
+                co[i][j] = x
+        return co
 
-def _boundary_matrix(lower: tuple[Simplex, ...], upper: tuple[Simplex, ...], keep) -> IntegerMatrix:
-    index = {s: i for i, s in enumerate(lower)}
-    rows = [[0] * len(upper) for _ in lower]
-    for j, s in enumerate(upper):
-        for drop in range(len(s)):
-            face = s[:drop] + s[drop + 1:]
-            if keep(face):
-                rows[index[face]][j] = -1 if drop % 2 else 1
-    return IntegerMatrix.from_rows(rows, cols=len(upper))
-
-
-def _chains_of_complex(k: SimplicialComplex) -> _Chains:
-    bases = tuple(k.simplices)
-    mats = [IntegerMatrix(0, len(bases[0]) if bases else 0, ())]
-    for dim in range(1, len(bases)):
-        mats.append(_boundary_matrix(bases[dim - 1], bases[dim], lambda f: True))
-    return _Chains(bases, tuple(mats))
-
-
-def _chains_of_pair(p: ComplexPair) -> _Chains:
-    bases = tuple(
-        tuple(s for s in p.total.layer(k) if not p.sub.has(s))
-        for k in range(p.total.top_dim + 1)
-    )
-    mats = [IntegerMatrix(0, len(bases[0]) if bases else 0, ())]
-    for dim in range(1, len(bases)):
-        in_rel = set(bases[dim - 1])
-        mats.append(_boundary_matrix(bases[dim - 1], bases[dim], lambda f: f in in_rel))
-    return _Chains(bases, tuple(mats), relative_nonempty=p.sub.top_dim >= 0)
+    def dense(self, k: int) -> IntegerMatrix:
+        grid = [[0] * self.n(k) for _ in self.cells(k - 1)]
+        for j, col in enumerate(self.columns(k)):
+            for i, x in col.items():
+                grid[i][j] = x
+        return IntegerMatrix(self.n(k - 1), self.n(k), tuple(map(tuple, grid)))
 
 
-def _chains_and_cap(obj):
+def _whole(obj) -> SimplicialComplex:
+    """The complex that sets the enumeration cap of a complex or a pair."""
+    return obj.total if isinstance(obj, ComplexPair) else obj
+
+
+def _chains_of(obj) -> _Chains:
     if isinstance(obj, SimplicialComplex):
-        return _chains_of_complex(obj), obj.max_dim, not obj.complete
+        return _Chains(tuple(obj.simplices))
     if isinstance(obj, ComplexPair):
-        return _chains_of_pair(obj), obj.total.max_dim, not obj.total.complete
+        sub = obj.sub
+        bases = tuple(
+            tuple(s for s in obj.total.layer(k) if not sub.has(s))
+            for k in range(obj.total.top_dim + 1)
+        )
+        return _Chains(bases, relative_nonempty=sub.top_dim >= 0)
     raise TypeError(f"expected a complex or a pair, got {type(obj).__name__}")
 
 
@@ -500,8 +460,8 @@ def boundary_matrices(obj) -> list[IntegerMatrix]:
     Entry k-1 maps degree-k chains to degree-(k-1) chains; for a pair
     the bases are the total simplices outside the subcomplex.
     """
-    chains, _, _ = _chains_and_cap(obj)
-    return [chains.boundaries[k] for k in range(1, chains.top + 1)]
+    chains = _chains_of(obj)
+    return [chains.dense(k) for k in range(1, chains.top + 1)]
 
 
 # --------------------------------------------------------------------------
@@ -531,6 +491,11 @@ class HomologyResult:
         return "; ".join(parts)
 
 
+def _field_value(x, p: int | None):
+    """A field element as reported: residues stay ints, rationals are Fractions."""
+    return x if p else Fraction(x)
+
+
 def homology(obj, coeffs: Coefficients = INTEGERS, reduced: bool = False,
              with_generators: bool = False) -> HomologyResult:
     """Homology of a complex or a pair, exact in the chosen coefficients.
@@ -540,69 +505,64 @@ def homology(obj, coeffs: Coefficients = INTEGERS, reduced: bool = False,
     boundaries from above the cap. The reduced flag lowers the rank of
     H_0 by one (no effect on a pair with a nonempty subcomplex).
     """
-    chains, cap, truncated = _chains_and_cap(obj)
-    top = chains.top
-    field = _field_of(coeffs)
+    chains = _chains_of(obj)
+    whole = _whole(obj)
+    cap = whole.max_dim
 
     ranks = [0] * (cap + 2)
     torsion: list[tuple[int, ...]] = [()] * (cap + 1)
-    if field is None:
-        diagonals = {}
-        for k in range(1, top + 1):
-            diagonals[k] = _snf_diagonal(chains.boundaries[k])
-            ranks[k] = sum(1 for v in diagonals[k] if v)
-        for k in range(cap + 1):
-            diag = diagonals.get(k + 1, ())
-            torsion[k] = tuple(v for v in diag if v > 1)
-    else:
-        for k in range(1, top + 1):
-            mat = chains.boundaries[k]
-            rows = [[field.from_int(x) for x in row] for row in mat.entries]
-            ranks[k] = _f_rank(rows, field, mat.cols)
+    cleared: dict = {}
+    for k in range(chains.top, 0, -1):
+        red = _reduce(chains.columns(k), coeffs.p, cleared, integral=not coeffs.is_field)
+        if red.stalled:
+            diag = _snf_diagonal(chains.dense(k))
+            ranks[k] = sum(1 for v in diag if v)
+            torsion[k - 1] = tuple(v for v in diag if v > 1)
+        else:
+            ranks[k] = len(red.pivots)
+        cleared = red.pivots
 
-    betti = []
-    for k in range(cap + 1):
-        betti.append(chains.n(k) - ranks[k] - ranks[k + 1])
+    betti = [chains.n(k) - ranks[k] - ranks[k + 1] for k in range(cap + 1)]
     if reduced and chains.n(0) > 0 and not chains.relative_nonempty:
         betti[0] -= 1
 
     generators = None
     if with_generators:
-        if field is None:
-            raise ValueError("generator extraction needs field coefficients")
-        reducer = _Reducer(chains, field)
-        gens = []
-        for k in range(cap + 1):
-            reps = reducer.basis(k).reps if k <= top else []
-            gens.append(tuple(
-                tuple((chains.bases[k][i], c) for i, c in enumerate(vec) if c != field.zero)
-                for vec in reps
-            ))
-        generators = tuple(gens)
+        p = _field_modulus(coeffs, "generator extraction")
+        reducer = _Reducer(chains, p)
+        generators = tuple(
+            tuple(
+                tuple((chains.bases[k][i], _field_value(c, p)) for i, c in sorted(rep.items()))
+                for rep in reducer.basis(k).reps
+            )
+            for k in range(cap, -1, -1)
+        )[::-1]
 
     return HomologyResult(
         tuple(betti),
         tuple(torsion),
         generators=generators,
-        truncated_dim=cap if truncated else None,
+        truncated_dim=None if whole.complete else cap,
     )
 
 
 def cohomology(obj, coeffs: Coefficients) -> HomologyResult:
-    """Cohomology over a field, computed from transposed boundaries."""
-    field = _require_field(coeffs, "cohomology")
-    chains, cap, truncated = _chains_and_cap(obj)
-    top = chains.top
+    """Cohomology over a field, reducing the coboundary columns."""
+    p = _field_modulus(coeffs, "cohomology")
+    chains = _chains_of(obj)
+    whole = _whole(obj)
+    cap = whole.max_dim
     ranks = [0] * (cap + 2)
-    for k in range(1, top + 1):
-        mat = chains.boundaries[k].transpose()
-        rows = [[field.from_int(x) for x in row] for row in mat.entries]
-        ranks[k] = _f_rank(rows, field, mat.cols)
+    cleared: dict = {}
+    for k in range(1, chains.top + 1):
+        red = _reduce(chains.cocolumns(k), p, cleared)
+        ranks[k] = len(red.pivots)
+        cleared = red.pivots
     betti = tuple(chains.n(k) - ranks[k] - ranks[k + 1] for k in range(cap + 1))
     return HomologyResult(
         betti,
         tuple(() for _ in range(cap + 1)),
-        truncated_dim=cap if truncated else None,
+        truncated_dim=None if whole.complete else cap,
     )
 
 
@@ -611,63 +571,98 @@ def cohomology(obj, coeffs: Coefficients) -> HomologyResult:
 
 
 class _DimBasis:
-    """Homology basis in one dimension: representatives plus coordinates."""
+    """Homology basis in one dimension: representatives plus coordinates.
 
-    def __init__(self, n, reps, solve, boundary_rank):
-        self.n = n
+    by_low maps the lowest row of every boundary basis vector and every
+    representative to (vector, index among the representatives, or None
+    for a boundary). Each vector is 1 at its lowest row.
+    """
+
+    def __init__(self, reps, by_low, p):
         self.reps = reps
-        self._solve = solve
-        self.boundary_rank = boundary_rank
+        self._by_low = by_low
+        self._p = p
 
     @property
     def h(self) -> int:
         return len(self.reps)
 
-    def coords(self, vec):
-        x = self._solve(vec)
-        if x is None:
-            raise ValueError("vector is not a cycle modulo boundaries")
-        return tuple(x[self.boundary_rank:])
+    def coords(self, vec: dict) -> tuple:
+        out = [_field_value(0, self._p)] * self.h
+        w = dict(vec)
+        while w:
+            low = max(w)
+            hit = self._by_low.get(low)
+            if hit is None:
+                raise ValueError("vector is not a cycle modulo boundaries")
+            basis_vec, idx = hit
+            c = w[low]
+            _axpy(w, c, basis_vec, self._p)
+            if idx is not None:
+                out[idx] = _field_value(c, self._p)
+        return tuple(out)
 
 
 class _Reducer:
-    """Lazy homology bases of one chain complex over one field."""
+    """Lazy homology bases of one chain complex over one field.
 
-    def __init__(self, chains: _Chains, field):
+    Asking for bases from the top degree down reduces each boundary
+    once: the reduction behind basis(k) also supplies the pivots, and
+    hence the clearing, for basis(k - 1).
+    """
+
+    def __init__(self, chains: _Chains, p: int | None):
         self.chains = chains
-        self.field = field
+        self.p = p
+        self._reductions: dict[int, _Reduction] = {}
         self._bases: dict[int, _DimBasis] = {}
 
+    def _reduction(self, k: int, keep_v: bool = False, clear=()) -> _Reduction:
+        red = self._reductions.get(k)
+        if red is None or (keep_v and red.records is None):
+            red = _reduce(self.chains.columns(k), self.p, clear, keep_v=keep_v)
+            self._reductions[k] = red
+        return red
+
     def basis(self, k: int) -> _DimBasis:
-        if k in self._bases:
-            return self._bases[k]
-        field = self.field
-        n = self.chains.n(k)
-        if n == 0:
-            self._bases[k] = _DimBasis(0, [], lambda v: [], 0)
-            return self._bases[k]
-        dmat = self.chains.boundary(k)
-        rows = [[field.from_int(x) for x in row] for row in dmat.entries]
-        cycles = _f_kernel_basis(rows, field, dmat.rows, n)
-        up = self.chains.boundary(k + 1)
-        bcols = [
-            [field.from_int(up.entries[i][j]) for i in range(up.rows)]
-            for j in range(up.cols)
-        ]
-        candidates = bcols + cycles
-        chosen = self._independent(candidates, n)
-        boundary_basis = [candidates[i] for i in chosen if i < len(bcols)]
-        reps = [candidates[i] for i in chosen if i >= len(bcols)]
-        solve, _ = _f_solver(boundary_basis + reps, field, n)
-        self._bases[k] = _DimBasis(n, reps, solve, len(boundary_basis))
+        if k not in self._bases:
+            up = self._reduction(k + 1).pivots
+            red = self._reduction(k, keep_v=True, clear=up)
+            by_low = {low: (col, None) for low, col in up.items()}
+            reps = []
+            for j, v in red.cycles:
+                by_low[j] = (v, len(reps))
+                reps.append(v)
+            self._bases[k] = _DimBasis(reps, by_low, self.p)
         return self._bases[k]
 
-    def _independent(self, columns, height):
-        if not columns:
-            return []
-        rows = [[col[i] for col in columns] for i in range(height)]
-        _, pivots = _f_rref(rows, self.field, len(columns))
-        return pivots
+
+def _dot(xs, ys, p: int | None):
+    acc = sum((x * y for x, y in zip(xs, ys)), _field_value(0, p))
+    return acc % p if p else acc
+
+
+def _transpose(cols, height: int) -> tuple[tuple, ...]:
+    return tuple(tuple(col[i] for col in cols) for i in range(height))
+
+
+def _mat_rank(rows, p: int | None) -> int:
+    width = len(rows[0]) if rows else 0
+    cols = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(width)]
+    return len(_reduce(cols, p).pivots)
+
+
+def _mat_is_zero(rows) -> bool:
+    return all(x == 0 for row in rows for x in row)
+
+
+def _mat_product(a, b, p: int | None):
+    if not a or not b:
+        return ()
+    return tuple(
+        tuple(_dot(row, [b[t][j] for t in range(len(b))], p) for j in range(len(b[0])))
+        for row in a
+    )
 
 
 @dataclass(frozen=True)
@@ -695,18 +690,16 @@ class InducedMapResult:
         top = min(self.top, inner.top)
         if inner.codomain_ranks[: top + 1] != self.domain_ranks[: top + 1]:
             raise ValueError("composition shape mismatch")
-        field = _field_of(self.coeffs)
+        p = self.coeffs.p
         mats = []
         for k in range(top + 1):
             a, b = self.matrices[k], inner.matrices[k]
             mid = self.domain_ranks[k]
-            rows = []
-            for i in range(self.codomain_ranks[k]):
-                rows.append(tuple(
-                    _f_dot(a[i], [b[t][j] for t in range(mid)], field)
-                    for j in range(inner.domain_ranks[k])
-                ))
-            mats.append(tuple(rows))
+            mats.append(tuple(
+                tuple(_dot(a[i], [b[t][j] for t in range(mid)], p)
+                      for j in range(inner.domain_ranks[k]))
+                for i in range(self.codomain_ranks[k])
+            ))
         return InducedMapResult(
             self.coeffs,
             tuple(mats),
@@ -715,24 +708,16 @@ class InducedMapResult:
         )
 
     def is_identity(self) -> bool:
-        field = _field_of(self.coeffs)
         for k in range(self.top + 1):
             if self.domain_ranks[k] != self.codomain_ranks[k]:
                 return False
             m = self.matrices[k]
-            for i in range(len(m)):
-                for j in range(len(m[i])):
-                    want = field.one if i == j else field.zero
-                    if m[i][j] != want:
-                        return False
+            if any(m[i][j] != (1 if i == j else 0) for i in range(len(m)) for j in range(len(m[i]))):
+                return False
         return True
 
     def rank(self, k: int) -> int:
-        field = _field_of(self.coeffs)
-        m = self.matrices[k]
-        if not m or not m[0]:
-            return 0
-        return _f_rank([list(r) for r in m], field, len(m[0]))
+        return _mat_rank(self.matrices[k], self.coeffs.p)
 
     def is_isomorphism_at(self, k: int) -> bool:
         return (
@@ -741,78 +726,72 @@ class InducedMapResult:
         )
 
 
+def _identity_image(k, s):
+    return 1, s
+
+
+def _quotient_image(sub: SimplicialComplex):
+    return lambda k, s: (0, None) if sub.has(s) else (1, s)
+
+
 def _chain_map_matrix(dom_red: _Reducer, cod_red: _Reducer, image_fn, k: int):
     """Homology matrix of a simplexwise chain map at dimension k."""
-    field = dom_red.field
     db = dom_red.basis(k)
     cb = cod_red.basis(k)
-    cod_cells = cod_red.chains.bases[k] if k <= cod_red.chains.top else ()
-    cod_index = {s: i for i, s in enumerate(cod_cells)}
+    cod_index = {s: i for i, s in enumerate(cod_red.chains.cells(k))}
+    dom_cells = dom_red.chains.cells(k)
     cols = []
-    dom_cells = dom_red.chains.bases[k] if k <= dom_red.chains.top else ()
     for rep in db.reps:
-        w = [field.zero] * len(cod_cells)
-        for i, coeff in enumerate(rep):
-            if coeff == field.zero:
-                continue
+        w: dict = {}
+        for i, coeff in rep.items():
             sign, target = image_fn(k, dom_cells[i])
             if not sign:
                 continue
             j = cod_index.get(target)
             if j is None:
                 raise ValueError(f"chain image {target} is not a codomain basis cell")
-            w[j] = field.add(w[j], field.mul(coeff, field.from_int(sign)))
-        cols.append(cb.coords(w))
-    rows = tuple(
-        tuple(cols[j][i] for j in range(len(cols)))
-        for i in range(cb.h)
-    )
-    return rows
+            w[j] = w.get(j, 0) + coeff * sign
+        cols.append(cb.coords(_clean(w, dom_red.p)))
+    return _transpose(cols, cb.h)
 
 
 def _induced_result(dom_red, cod_red, image_fn, coeffs, top):
-    mats = []
-    dom_ranks = []
-    cod_ranks = []
-    for k in range(top + 1):
-        mats.append(_chain_map_matrix(dom_red, cod_red, image_fn, k))
-        dom_ranks.append(dom_red.basis(k).h)
-        cod_ranks.append(cod_red.basis(k).h)
-    return InducedMapResult(coeffs, tuple(mats), tuple(dom_ranks), tuple(cod_ranks))
-
-
-def _reliable_top(obj) -> int:
-    if isinstance(obj, SimplicialComplex):
-        return obj.max_dim if obj.complete else obj.max_dim - 1
-    return obj.total.max_dim if obj.total.complete else obj.total.max_dim - 1
+    # Top degree first, so every boundary is reduced once (see _Reducer).
+    mats = [_chain_map_matrix(dom_red, cod_red, image_fn, k) for k in range(top, -1, -1)]
+    return InducedMapResult(
+        coeffs,
+        tuple(reversed(mats)),
+        tuple(dom_red.basis(k).h for k in range(top + 1)),
+        tuple(cod_red.basis(k).h for k in range(top + 1)),
+    )
 
 
 def induced_map(f, coeffs: Coefficients, top_dim: int | None = None) -> InducedMapResult:
-    """Homology maps of a simplicial vertex map, or of a pair's quotient.
+    """Homology maps of a simplicial vertex map, a pair's quotient, or an inclusion.
 
     Passing a ComplexPair gives the map from the total complex's
-    homology to the relative homology. Dimensions run to top_dim when
-    given, else to the highest dimension both sides compute exactly.
+    homology to the relative homology; passing an Inclusion gives the
+    map a complex (or pair) induces into a larger one. Dimensions run to
+    top_dim when given, else to the highest dimension both sides compute
+    exactly.
     """
-    field = _require_field(coeffs, "induced maps")
+    p = _field_modulus(coeffs, "induced maps")
     if isinstance(f, SimplicialVertexMap):
-        dom_chains = _chains_of_complex(f.domain)
-        cod_chains = _chains_of_complex(f.codomain)
+        dom, cod = f.domain, f.codomain
         assignment = f.assignment
         image_fn = lambda k, s: chain_image(assignment, s)
-        auto_top = min(_reliable_top(f.domain), _reliable_top(f.codomain))
     elif isinstance(f, ComplexPair):
-        dom_chains = _chains_of_complex(f.total)
-        cod_chains = _chains_of_pair(f)
-        sub = f.sub
-        image_fn = lambda k, s: (0, None) if sub.has(s) else (1, s)
-        auto_top = _reliable_top(f)
+        dom, cod = f.total, f
+        image_fn = _quotient_image(f.sub)
+    elif isinstance(f, Inclusion):
+        dom, cod = f.domain, f.codomain
+        image_fn = _quotient_image(cod.sub) if isinstance(cod, ComplexPair) else _identity_image
     else:
-        raise TypeError("induced_map expects a SimplicialVertexMap or a ComplexPair")
-    top = auto_top if top_dim is None else top_dim
+        raise TypeError("induced_map expects a SimplicialVertexMap, a ComplexPair or an Inclusion")
+    top = min(dom.reliable_top, cod.reliable_top) if top_dim is None else top_dim
     if top < 0:
         raise ValueError("no dimension is reliably computable at this cap")
-    return _induced_result(_Reducer(dom_chains, field), _Reducer(cod_chains, field),
+    return _induced_result(_Reducer(_chains_of(dom), p), _Reducer(_chains_of(cod), p),
                            image_fn, coeffs, top)
 
 
@@ -843,58 +822,27 @@ class LESReport:
 
 def _connecting_matrix(rel_red: _Reducer, sub_red: _Reducer, total_chains: _Chains, k: int):
     """Connecting map H_k(total, sub) -> H_{k-1}(sub): lift, bound, restrict."""
-    field = rel_red.field
     rb = rel_red.basis(k)
     sb = sub_red.basis(k - 1)
-    rel_cells = rel_red.chains.bases[k] if k <= rel_red.chains.top else ()
-    total_cells = total_chains.bases[k] if k <= total_chains.top else ()
-    total_index = {s: i for i, s in enumerate(total_cells)}
-    lower_cells = total_chains.bases[k - 1] if k - 1 <= total_chains.top else ()
-    sub_cells = sub_red.chains.bases[k - 1] if k - 1 <= sub_red.chains.top else ()
-    sub_index = {s: i for i, s in enumerate(sub_cells)}
-    dmat = total_chains.boundary(k)
+    rel_cells = rel_red.chains.cells(k)
+    total_index = {s: i for i, s in enumerate(total_chains.cells(k))}
+    lower_cells = total_chains.cells(k - 1)
+    sub_index = {s: i for i, s in enumerate(sub_red.chains.cells(k - 1))}
+    dcols = total_chains.columns(k)
     cols = []
     for rep in rb.reps:
-        lift = [field.zero] * len(total_cells)
-        for i, coeff in enumerate(rep):
-            lift[total_index[rel_cells[i]]] = coeff
-        bound = [
-            _f_dot([field.from_int(x) for x in dmat.entries[r]], lift, field)
-            for r in range(dmat.rows)
-        ]
-        restricted = [field.zero] * len(sub_cells)
-        for r, value in enumerate(bound):
-            if value == field.zero:
-                continue
+        bound: dict = {}
+        for i, c in rep.items():
+            for r, x in dcols[total_index[rel_cells[i]]].items():
+                bound[r] = bound.get(r, 0) + c * x
+        restricted = {}
+        for r, value in _clean(bound, rel_red.p).items():
             j = sub_index.get(lower_cells[r])
             if j is None:
                 raise ValueError("boundary of a relative cycle leaked outside the subcomplex")
             restricted[j] = value
         cols.append(sb.coords(restricted))
-    return tuple(
-        tuple(cols[j][i] for j in range(len(cols)))
-        for i in range(sb.h)
-    )
-
-
-def _mat_rank_field(rows, field) -> int:
-    if not rows or not rows[0]:
-        return 0
-    return _f_rank([list(r) for r in rows], field, len(rows[0]))
-
-
-def _mat_is_zero(rows, field) -> bool:
-    return all(x == field.zero for row in rows for x in row)
-
-
-def _mat_product(a, b, field):
-    if not a or not b:
-        return ()
-    inner = len(b)
-    return tuple(
-        tuple(_f_dot(row, [b[t][j] for t in range(inner)], field) for j in range(len(b[0])))
-        for row in a
-    )
+    return _transpose(cols, sb.h)
 
 
 def check_les_exactness(p: ComplexPair, coeffs: Coefficients, top_dim: int) -> LESReport:
@@ -905,33 +853,22 @@ def check_les_exactness(p: ComplexPair, coeffs: Coefficients, top_dim: int) -> L
     that consecutive maps compose to zero and their ranks fill the
     middle dimension exactly.
     """
-    field = _require_field(coeffs, "the long exact sequence check")
+    mod = _field_modulus(coeffs, "the long exact sequence check")
     if top_dim < 0:
         raise ValueError("top_dim must be nonnegative")
     if p.total.max_dim < top_dim + 1:
         raise ValueError("enumerate the pair to top_dim + 1 before checking exactness")
 
-    total_chains = _chains_of_complex(p.total)
-    sub_chains = _chains_of_complex(p.sub)
-    rel_chains = _chains_of_pair(p)
-    red_total = _Reducer(total_chains, field)
-    red_sub = _Reducer(sub_chains, field)
-    red_rel = _Reducer(rel_chains, field)
+    total_chains = _chains_of(p.total)
+    red_total = _Reducer(total_chains, mod)
+    red_sub = _Reducer(_chains_of(p.sub), mod)
+    red_rel = _Reducer(_chains_of(p), mod)
 
-    sub_has = p.sub.has
-    incl = {
-        k: _chain_map_matrix(red_sub, red_total, lambda _k, s: (1, s), k)
-        for k in range(top_dim + 1)
-    }
-    quot = {
-        k: _chain_map_matrix(red_total, red_rel,
-                             lambda _k, s: (0, None) if sub_has(s) else (1, s), k)
-        for k in range(top_dim + 1)
-    }
-    conn = {
-        k: _connecting_matrix(red_rel, red_sub, total_chains, k)
-        for k in range(1, top_dim + 1)
-    }
+    # Top degree first, so every boundary is reduced once (see _Reducer).
+    down = range(top_dim, -1, -1)
+    incl = {k: _chain_map_matrix(red_sub, red_total, _identity_image, k) for k in down}
+    quot = {k: _chain_map_matrix(red_total, red_rel, _quotient_image(p.sub), k) for k in down}
+    conn = {k: _connecting_matrix(red_rel, red_sub, total_chains, k) for k in down if k >= 1}
 
     rows = []
     failures = []
@@ -939,16 +876,16 @@ def check_les_exactness(p: ComplexPair, coeffs: Coefficients, top_dim: int) -> L
         h_sub = red_sub.basis(k).h
         h_total = red_total.basis(k).h
         h_rel = red_rel.basis(k).h
-        ri = _mat_rank_field(incl[k], field)
-        rq = _mat_rank_field(quot[k], field)
-        rc = _mat_rank_field(conn[k], field) if k >= 1 else 0
+        ri = _mat_rank(incl[k], mod)
+        rq = _mat_rank(quot[k], mod)
+        rc = _mat_rank(conn[k], mod) if k >= 1 else 0
         rows.append(LESRow(k, h_sub, h_total, h_rel, ri, rq, rc))
 
-        if not _mat_is_zero(_mat_product(quot[k], incl[k], field), field):
+        if not _mat_is_zero(_mat_product(quot[k], incl[k], mod)):
             failures.append(f"dim {k}: quotient after inclusion is nonzero")
         if ri + rq != h_total:
             failures.append(f"dim {k}: ranks {ri}+{rq} do not fill H_{k}(total)={h_total}")
-        if k >= 1 and not _mat_is_zero(_mat_product(conn[k], quot[k], field), field):
+        if k >= 1 and not _mat_is_zero(_mat_product(conn[k], quot[k], mod)):
             failures.append(f"dim {k}: connecting after quotient is nonzero")
         # At k = 0 the sequence exits into zero, so the quotient must fill
         # the relative group on its own (rc is zero there).
@@ -956,9 +893,9 @@ def check_les_exactness(p: ComplexPair, coeffs: Coefficients, top_dim: int) -> L
             failures.append(f"dim {k}: ranks {rq}+{rc} do not fill H_{k}(rel)={h_rel}")
         if k < top_dim:
             up = conn[k + 1]
-            if not _mat_is_zero(_mat_product(incl[k], up, field), field):
+            if not _mat_is_zero(_mat_product(incl[k], up, mod)):
                 failures.append(f"dim {k}: inclusion after connecting is nonzero")
-            ru = _mat_rank_field(up, field)
+            ru = _mat_rank(up, mod)
             if ru + ri != h_sub:
                 failures.append(f"dim {k}: ranks {ru}+{ri} do not fill H_{k}(sub)={h_sub}")
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .closure import Cover
 from .complexes import (
-    ComplexPair,
+    Inclusion,
     cover_complex,
     full_subcomplex,
     nerve_of_cover,
@@ -28,14 +28,6 @@ from .homology import (
     INTEGERS,
     Coefficients,
     HomologyResult,
-    _chain_map_matrix,
-    _chains_of_complex,
-    _chains_of_pair,
-    _field_of,
-    _mat_rank_field,
-    _Reducer,
-    _reliable_top,
-    _require_field,
     cohomology,
     homology,
     induced_map,
@@ -129,35 +121,17 @@ def _inclusion_agrees(min_rel: Relation, u_rel: Relation, subset, coeffs: Coeffi
     """
     dom_obj = _object_at(min_rel, subset, max_dim)
     cod_obj = _object_at(u_rel, subset, max_dim)
-    top = min(_reliable_top(dom_obj), _reliable_top(cod_obj))
+    top = min(dom_obj.reliable_top, cod_obj.reliable_top)
     if top < 0:
         return True, ()
-    field = _field_of(coeffs)
-    if field is None:
+    if not coeffs.is_field:
         a = homology(dom_obj, coeffs)
         b = homology(cod_obj, coeffs)
         agrees = (a.betti[: top + 1] == b.betti[: top + 1]
                   and a.torsion[: top + 1] == b.torsion[: top + 1])
         return agrees, b.betti[: top + 1]
-
-    if isinstance(dom_obj, ComplexPair):
-        dom = _Reducer(_chains_of_pair(dom_obj), field)
-        cod = _Reducer(_chains_of_pair(cod_obj), field)
-        cod_sub = cod_obj.sub
-        image_fn = lambda k, s: (0, None) if cod_sub.has(s) else (1, s)
-    else:
-        dom = _Reducer(_chains_of_complex(dom_obj), field)
-        cod = _Reducer(_chains_of_complex(cod_obj), field)
-        image_fn = lambda k, s: (1, s)
-    betti = []
-    agrees = True
-    for k in range(top + 1):
-        mat = _chain_map_matrix(dom, cod, image_fn, k)
-        h_dom, h_cod = dom.basis(k).h, cod.basis(k).h
-        betti.append(h_cod)
-        if h_dom != h_cod or _mat_rank_field(mat, field) != h_dom:
-            agrees = False
-    return agrees, tuple(betti)
+    m = induced_map(Inclusion(dom_obj, cod_obj), coeffs, top_dim=top)
+    return all(m.is_isomorphism_at(k) for k in range(top + 1)), m.codomain_ranks
 
 
 def limit_homology(base: SemiUniformBase, subset=None, coeffs: Coefficients = INTEGERS,
@@ -307,7 +281,7 @@ def verify_excision(base: SemiUniformBase, a, bset, coeffs: Coefficients = INTEG
             small = pair_complex(s_small, a_small, max_dim)
         else:
             small = vr_complex(s_small, max_dim)
-        top = min(_reliable_top(big), _reliable_top(small))
+        top = min(big.reliable_top, small.reliable_top)
         hb = homology(big, coeffs)
         hs = homology(small, coeffs)
         if (hb.betti[: top + 1] != hs.betti[: top + 1]
@@ -355,7 +329,7 @@ def check_interval_acyclic(n: int, r, max_dim: int = 2) -> AxiomVerdict:
     rel = interval_relation(n, r)
     k = vr_complex(rel, max_dim)
     res = homology(k, INTEGERS, reduced=True)
-    top = _reliable_top(k)
+    top = k.reliable_top
     ok = not any(res.betti[: top + 1]) and not any(res.torsion[: top + 1])
     witness = ""
     if not ok:
@@ -379,7 +353,8 @@ def verify_homotopy_cylinder(u: Relation, n: int, r, coeffs: Coefficients,
     cylinder over each maximal simplex must have vanishing reduced
     integer homology, which is what makes the end maps interchangeable.
     """
-    _require_field(coeffs, "cylinder comparison")
+    if not coeffs.is_field:
+        raise ValueError("cylinder comparison needs field coefficients")
     if max_dim < 1:
         raise ValueError("max_dim must be at least 1 to compare any dimension")
     ivl = interval_relation(n, r)
@@ -400,7 +375,7 @@ def verify_homotopy_cylinder(u: Relation, n: int, r, coeffs: Coefficients,
         block = sorted(v for x in s for v in _cylinder_vertices(x, n))
         piece = full_subcomplex(kc, block)
         res = homology(piece, INTEGERS, reduced=True)
-        top = _reliable_top(piece)
+        top = piece.reliable_top
         if any(res.betti[: top + 1]) or any(res.torsion[: top + 1]):
             problems.append(
                 f"cylinder over simplex {s} has reduced betti {res.betti[: top + 1]}"
@@ -454,7 +429,8 @@ def verify_functoriality(f, g, bx: SemiUniformBase, by: SemiUniformBase,
     the individual induced maps, and checks that the identity on X
     induces identity matrices, all through dimension max_dim - 1.
     """
-    _require_field(coeffs, "functoriality comparison")
+    if not coeffs.is_field:
+        raise ValueError("functoriality comparison needs field coefficients")
     if max_dim < 1:
         raise ValueError("max_dim must be at least 1 to compare any dimension")
     cf = check_uniform_continuity(f, bx, by)

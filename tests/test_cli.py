@@ -195,3 +195,31 @@ def test_module_entry_point(square_csv):
     )
     assert proc.returncode == OK
     assert parse_result(proc.stdout)["results"]["betti"] == [1, 1]
+
+
+def test_complex_document_honours_subset_and_rejects_scales(tmp_path):
+    path = tmp_path / "hollow.json"
+    path.write_text(json.dumps({
+        "kind": "complex", "labels": ["a", "b", "c"], "simplices": [[0, 1], [1, 2], [0, 2]],
+    }))
+    code, out, _ = run(["homology", str(path)])
+    assert code == OK
+    assert parse_result(out)["results"]["betti"] == [1, 1]
+    code, out, _ = run(["homology", str(path), "--subset", "0"])
+    assert code == OK
+    doc = parse_result(out)
+    assert doc["parameters"]["subset"] == [0]
+    assert doc["results"]["betti"] == [0, 1]
+    for flag in (["--scale", "1"], ["--delta", "1/2"]):
+        code, _, err = run(["homology", str(path)] + flag)
+        assert code == BAD_INPUT
+        assert "error:" in err
+
+
+def test_deeply_nested_json_exits_two(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(["homology", str(path)])
+    assert code == BAD_INPUT
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err

@@ -162,3 +162,37 @@ def test_les_exact_on_random_pairs(rel, data):
     pair = v.pair_complex(rel, pts, 3)
     report = v.check_les_exactness(pair, v.RATIONALS, top_dim=2)
     assert report.exact, report.failures
+
+
+def test_inclusion_of_a_complex(cycle4):
+    circle = v.clique_complex(cycle4, 2)
+    disk = v.clique_complex(full_relation(cycle4.space), 2)
+    into_disk = v.induced_map(v.Inclusion(circle, disk), v.RATIONALS, top_dim=1)
+    assert into_disk.domain_ranks == (1, 1)
+    assert into_disk.codomain_ranks == (1, 0)
+    assert into_disk.rank(0) == 1
+    # Same bases on both sides: the inclusion agrees with the identity vertex map.
+    assert v.induced_map(v.Inclusion(circle, circle), v.prime_field(3)) == v.induced_map(
+        v.simplicial_map(range(4), circle, circle), v.prime_field(3))
+    assert v.induced_map(v.Inclusion(circle, circle), v.RATIONALS).is_identity()
+
+
+def test_inclusion_of_pairs(cycle4):
+    small = v.pair_complex(cycle4, [0], 2)
+    big = v.pair_complex(full_relation(cycle4.space), [0, 1], 2)
+    m = v.induced_map(v.Inclusion(small, big), v.RATIONALS)
+    assert m.domain_ranks == (0, 1)
+    assert m.codomain_ranks == (0, 0)
+    same = v.induced_map(v.Inclusion(small, small), v.RATIONALS)
+    assert same.is_isomorphism_at(1) and same.is_identity()
+
+
+def test_inclusion_validation(cycle4):
+    circle = v.clique_complex(cycle4, 2)
+    disk = v.clique_complex(full_relation(cycle4.space), 2)
+    with pytest.raises(ValueError):
+        v.Inclusion(disk, circle)  # the disk's diagonals are not in the circle
+    with pytest.raises(TypeError):
+        v.Inclusion(circle, v.pair_complex(cycle4, [0], 2))
+    with pytest.raises(ValueError):
+        v.Inclusion(v.pair_complex(cycle4, [0, 1], 2), v.pair_complex(cycle4, [0], 2))

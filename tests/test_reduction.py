@@ -1,0 +1,164 @@
+"""The sparse column reduction against independent slow paths.
+
+Every fast path of vrips.homology is compared with something that does
+not share its algorithm: ranks with the plain eliminations in
+oracles.py on boundary matrices built there from the simplex layers,
+integer homology with the dense Smith normal form, prime-field
+homology with the universal coefficient theorem, and homology bases
+with their defining properties.
+"""
+
+import importlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import vrips as v
+from conftest import any_relations, explicit_complexes
+from oracles import boundary_from_layers, frac_rank, modp_rank
+
+# The package re-exports a function named homology, so the module is
+# fetched by its full name.
+hom = importlib.import_module("vrips.homology")
+
+
+@st.composite
+def chain_objects(draw):
+    """A flag complex of a random (possibly directed) relation, an
+    explicit complex, or a pair of either kind against a vertex subset."""
+    kind = draw(st.sampled_from(["relation", "explicit"]))
+    if kind == "relation":
+        k = v.vr_complex(draw(any_relations(max_points=6)), draw(st.integers(1, 3)))
+    else:
+        k = draw(explicit_complexes(max_points=6))
+    if draw(st.booleans()):
+        pts = draw(st.frozensets(st.integers(0, k.space.size - 1), min_size=1))
+        return v.ComplexPair(k, v.full_subcomplex(k, pts))
+    return k
+
+
+def relative_layers(obj):
+    if isinstance(obj, v.ComplexPair):
+        return [[s for s in obj.total.layer(k) if not obj.sub.has(s)]
+                for k in range(obj.total.top_dim + 1)]
+    return [list(layer) for layer in obj.simplices]
+
+
+def oracle_matrices(obj):
+    """d_1 .. d_top as dense rows, built from the layers by the oracle."""
+    layers = relative_layers(obj)
+    return [boundary_from_layers(layers[k - 1], layers[k]) for k in range(1, len(layers))]
+
+
+def cap_of(obj):
+    return (obj.total if isinstance(obj, v.ComplexPair) else obj).max_dim
+
+
+def betti_from_ranks(obj, rank):
+    layers = relative_layers(obj)
+    cap = cap_of(obj)
+    ranks = [0] + [rank(m) for m in oracle_matrices(obj)] + [0] * (cap + 2)
+    sizes = [len(l) for l in layers] + [0] * (cap + 1)
+    return tuple(sizes[k] - ranks[k] - ranks[k + 1] for k in range(cap + 1))
+
+
+@given(chain_objects())
+@settings(max_examples=80, deadline=None)
+def test_field_ranks_match_oracle_eliminations(obj):
+    assert v.homology(obj, v.RATIONALS).betti == betti_from_ranks(obj, frac_rank)
+    for p in (2, 3):
+        want = betti_from_ranks(obj, lambda m: modp_rank(m, p))
+        assert v.homology(obj, v.prime_field(p)).betti == want
+        assert v.cohomology(obj, v.prime_field(p)).betti == want
+
+
+def dense_integer_homology(obj):
+    """Betti numbers and torsion from the dense Smith form of every d_k."""
+    cap = cap_of(obj)
+    layers = relative_layers(obj)
+    sizes = [len(l) for l in layers] + [0] * (cap + 2)
+    ranks = [0] * (cap + 2)
+    torsion = [()] * (cap + 1)
+    for k, m in enumerate(v.boundary_matrices(obj), start=1):
+        d = v.smith_normal_form(m).d
+        ranks[k] = sum(1 for x in d if x)
+        torsion[k - 1] = tuple(x for x in d if x > 1)
+    betti = tuple(sizes[k] - ranks[k] - ranks[k + 1] for k in range(cap + 1))
+    return betti, tuple(torsion)
+
+
+def universal_coefficients(hz, p):
+    """beta_k(F_p) = beta_k(Z) + t_k(p) + t_{k-1}(p)."""
+    t = [sum(1 for x in factors if x % p == 0) for factors in hz.torsion]
+    return tuple(b + t[k] + (t[k - 1] if k else 0) for k, b in enumerate(hz.betti))
+
+
+@given(chain_objects())
+@settings(max_examples=80, deadline=None)
+def test_integer_homology_matches_dense_smith_form(obj):
+    hz = v.homology(obj)
+    assert (hz.betti, hz.torsion) == dense_integer_homology(obj)
+    assert v.homology(obj, v.RATIONALS).betti == hz.betti
+    for p in (2, 3):
+        assert v.homology(obj, v.prime_field(p)).betti == universal_coefficients(hz, p)
+
+
+def test_non_unit_pivot_falls_back_to_dense_smith_form(rp2, monkeypatch):
+    calls = []
+    dense = hom._snf_diagonal
+
+    def counting(mat):
+        calls.append((mat.rows, mat.cols))
+        return dense(mat)
+
+    monkeypatch.setattr(hom, "_snf_diagonal", counting)
+    hz = v.homology(rp2)
+    assert calls, "RP2 must leave the unit-pivot path"
+    assert (hz.betti, hz.torsion) == dense_integer_homology(rp2) == ((1, 0, 0), ((), (2,), ()))
+    for p in (2, 3):
+        assert v.homology(rp2, v.prime_field(p)).betti == universal_coefficients(hz, p)
+
+    calls.clear()
+    circle = v.clique_complex(v.graph_relation([(i, (i + 1) % 5) for i in range(5)],
+                                               v.FiniteSpace(tuple("abcde"))), 2)
+    assert v.homology(circle).betti == (1, 1, 0)
+    assert not calls, "a flag complex of a cycle needs only unit pivots"
+
+
+def mat_vec(rows, vec, p):
+    out = [sum(row[i] * vec.get(i, 0) for i in range(len(row))) for row in rows]
+    return [x % p if p else x for x in out]
+
+
+@given(chain_objects(), st.sampled_from([None, 3]))
+@settings(max_examples=60, deadline=None)
+def test_homology_bases_are_bases(obj, p):
+    chains = hom._chains_of(obj)
+    reducer = hom._Reducer(chains, p)
+    mats = oracle_matrices(obj)
+    rank = frac_rank if p is None else (lambda m: modp_rank(m, p))
+    coeffs = v.RATIONALS if p is None else v.prime_field(p)
+    betti = v.homology(obj, coeffs).betti
+    for k in range(chains.top, -1, -1):
+        basis = reducer.basis(k)
+        n = chains.n(k)
+        assert basis.h == betti[k]
+        down = mats[k - 1] if k >= 1 else [[0] * n]
+        up = mats[k] if k < len(mats) else [[] for _ in range(n)]
+        for i, rep in enumerate(basis.reps):
+            assert not any(mat_vec(down, rep, p)), "representative is not a cycle"
+            unit = tuple(int(t == i) for t in range(basis.h))
+            assert basis.coords(rep) == unit
+        # Independent modulo boundaries: appending the representatives to
+        # the boundary columns raises the rank by exactly h.
+        rep_rows = [[rep.get(r, 0) for rep in basis.reps] for r in range(n)]
+        joined = [list(u) + r for u, r in zip(up, rep_rows)]
+        assert rank(joined) == rank(up) + basis.h
+        for j in range(len(up[0]) if up else 0):
+            boundary = {r: up[r][j] % p if p else up[r][j] for r in range(n) if up[r][j]}
+            assert not any(basis.coords(boundary))
+        for j in range(n):
+            if k >= 1 and any(row[j] for row in down):
+                with pytest.raises(ValueError, match="not a cycle"):
+                    basis.coords({j: 1})
