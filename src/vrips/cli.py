@@ -14,7 +14,9 @@ truncated at the cap, so that is what the reports contain.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 
 from .closure import ii_relation, vietoris_relation
@@ -68,8 +70,9 @@ def _load_document(path: str, fmt: str | None):
 def _auto_deltas(d, q) -> list[Fraction]:
     """One offset making the strict relation at q + delta equal to the
     closed relation at q: half the gap up to the next larger distance."""
-    above = [v for v in d.values() if v > q]
-    delta = Fraction(min(above) - q) / 2 if above else Fraction(1)
+    vals = d.values()
+    k = bisect_right(vals, q)
+    delta = Fraction(vals[k] - q) / 2 if k < len(vals) else Fraction(1)
     return [delta]
 
 
@@ -195,13 +198,14 @@ def _cmd_sweep(args, out) -> int:
     if len(parts) != 3:
         raise ValueError("scales must be LO:HI:STEP")
     lo, hi, step = (_parse_fraction(p) for p in parts)
-    if step <= 0 or hi < lo:
-        raise ValueError("scales must satisfy LO <= HI with a positive STEP")
+    if lo < 0 or step <= 0 or hi < lo:
+        raise ValueError("scales must satisfy 0 <= LO <= HI with a positive STEP")
     print("scale\t" + "\t".join(f"betti{k}" for k in range(args.max_dim)), file=out)
     q = lo
     while q <= hi:
         base = scale_base(d, q, _auto_deltas(d, q))
-        report = limit_homology(base, coeffs=coeffs, max_dim=args.max_dim)
+        report = limit_homology(base, coeffs=coeffs, max_dim=args.max_dim,
+                                reduced=args.reduced)
         row = [str(q)] + [str(b) for b in report.result.betti[: args.max_dim]]
         print("\t".join(row), file=out)
         q += step
@@ -223,7 +227,20 @@ def _cmd_verify(args, out) -> int:
     return OK if passed == len(verdicts) else FAILED
 
 
+def _cap(text: str) -> int:
+    """--max-dim: an enumeration cap of at least 1, so a report has a degree."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return cap
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing never mutates it."""
     parser = argparse.ArgumentParser(
         prog="vrips",
         description="Vietoris-Rips homology over finite semi-uniform structures",
@@ -234,8 +251,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", help="input file (csv distance table, edge list, or json)")
         p.add_argument("--format", choices=["csv", "edges", "json"],
                        help="override format sniffing by extension")
-        p.add_argument("--max-dim", type=int, default=2, dest="max_dim",
-                       help="enumeration cap; betti numbers are reported below it")
+        p.add_argument("--max-dim", type=_cap, default=2, dest="max_dim",
+                       help="enumeration cap, at least 1; betti numbers are reported below it")
         p.add_argument("--coeffs", default="Z",
                        help="coefficients: Z, Q, or F<prime> (default Z)")
         p.add_argument("--reduced", action="store_true",
@@ -269,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_v.add_argument("--suite", default="all", choices=list(SUITE_NAMES) + ["all"])
     p_v.add_argument("--seed", type=int, default=0)
     p_v.add_argument("--trials", type=int, default=20)
-    p_v.add_argument("--max-dim", type=int, default=2, dest="max_dim")
+    p_v.add_argument("--max-dim", type=_cap, default=2, dest="max_dim")
     p_v.set_defaults(fn=_cmd_verify)
     return parser
 

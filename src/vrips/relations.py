@@ -12,12 +12,19 @@ Scale comparisons are exact on the supplied numeric values: a strict
 relation at scale q keeps pairs with d < q, a closed one keeps d <= q,
 and ties are never fuzzed. Callers control the boundary by choosing the
 mode and the numeric type (int, Fraction, float) of their distances.
+
+A distance table sorts its pairs once, when it is built. Every scale
+query after that is a bisection of the sorted distances: a scale
+relation is a prefix of the sorted pairs, and the distinct values are
+stored, not recomputed.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 Pair = tuple[int, int]
 
@@ -64,16 +71,30 @@ def subspace(space: FiniteSpace, indices) -> FiniteSpace:
     return FiniteSpace(tuple(space.labels[i] for i in pts))
 
 
+class _PairIndex(NamedTuple):
+    """The pairs i < j of a table in ascending distance order (ties in
+    lexicographic order), their distances, and the distinct values."""
+
+    pairs: tuple[Pair, ...]
+    dists: tuple
+    values: tuple
+
+
 @dataclass(frozen=True)
 class SemiPseudometric:
     """A symmetric distance table with zero diagonal.
 
     No triangle inequality is assumed or checked. Entries may be ints,
     Fractions, or floats; they are compared exactly as given.
+
+    Construction sorts the pairs i < j by distance, once per table.
+    values() returns the stored distinct values, and every scale query
+    (metric_relation, scale_base) is a bisection of the sorted distances.
     """
 
     space: FiniteSpace
     dist: tuple[tuple, ...]
+    _index: _PairIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dist", tuple(tuple(row) for row in self.dist))
@@ -88,15 +109,17 @@ class SemiPseudometric:
                     raise ValueError(f"distance table is not symmetric at ({i},{j})")
                 if self.dist[i][j] < 0:
                     raise ValueError(f"negative distance at ({i},{j})")
+        pairs = sorted(itertools.combinations(range(n), 2), key=lambda p: self.dist[p[0]][p[1]])
+        dists = tuple(self.dist[i][j] for i, j in pairs)
+        values = tuple(v for v, _ in itertools.groupby(dists))
+        object.__setattr__(self, "_index", _PairIndex(tuple(pairs), dists, values))
 
     def d(self, i: int, j: int):
         return self.dist[i][j]
 
     def values(self) -> tuple:
         """Sorted distinct off-diagonal distance values."""
-        n = self.space.size
-        vals = {self.dist[i][j] for i in range(n) for j in range(i + 1, n)}
-        return tuple(sorted(vals))
+        return self._index.values
 
 
 def metric_from_points(labels, coords, dist_fn) -> SemiPseudometric:
@@ -212,12 +235,9 @@ def metric_relation(d: SemiPseudometric, q, mode: str = "closed") -> Relation:
         raise ValueError("scale must be nonnegative")
     if mode not in ("strict", "closed"):
         raise ValueError(f"unknown mode {mode!r}: expected 'strict' or 'closed'")
-    n = d.space.size
-    if mode == "strict":
-        pairs = {(i, j) for i in range(n) for j in range(n) if i != j and d.dist[i][j] < q}
-    else:
-        pairs = {(i, j) for i in range(n) for j in range(n) if i != j and d.dist[i][j] <= q}
-    return relation(d.space, pairs)
+    cut = (bisect_left if mode == "strict" else bisect_right)(d._index.dists, q)
+    near = d._index.pairs[:cut]
+    return relation(d.space, near + tuple((j, i) for i, j in near))
 
 
 def graph_relation(edges, space: FiniteSpace, directed: bool = False) -> Relation:

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the package's own algorithms:
 cliques come from subset scanning instead of incremental expansion,
 ranks from a plain fraction elimination written here, determinants from
-Bareiss, and invariant factors from determinantal divisors. Slow on
-purpose; only ever applied to small instances.
+Bareiss, and invariant factors from determinantal divisors. Scale
+relations and distinct distance values come from comparing every entry
+of a table instead of bisecting its sorted pairs. Slow on purpose; only
+ever applied to small instances.
 """
 
 from __future__ import annotations
@@ -12,6 +14,20 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+
+
+def brute_scale_pairs(dist, q, mode: str) -> frozenset:
+    """Off-diagonal pairs of the scale-q relation: d < q strict, d <= q closed."""
+    n = len(dist)
+    if mode == "strict":
+        return frozenset((i, j) for i in range(n) for j in range(n) if i != j and dist[i][j] < q)
+    return frozenset((i, j) for i in range(n) for j in range(n) if i != j and dist[i][j] <= q)
+
+
+def brute_values(dist) -> tuple:
+    """Sorted distinct off-diagonal distances, by a set and one sort."""
+    n = len(dist)
+    return tuple(sorted({dist[i][j] for i in range(n) for j in range(i + 1, n)}))
 
 
 def brute_clique_layers(n: int, pairs, max_dim: int) -> list[list[tuple[int, ...]]]:

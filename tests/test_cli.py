@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import vrips.cli
 from vrips.cli import BAD_INPUT, FAILED, OK, run_command
 from vrips.documents import parse_result, results_equal
 from vrips.semiuniform import AxiomVerdict
@@ -44,6 +45,13 @@ def square_csv(tmp_path):
 def cycle_edges(tmp_path):
     path = tmp_path / "cycle.txt"
     path.write_text("a b\nb c\nc d\nd a\n")
+    return str(path)
+
+
+@pytest.fixture
+def arcs_json(tmp_path):
+    path = tmp_path / "arcs.json"
+    path.write_text(CLOSURE_JSON)
     return str(path)
 
 
@@ -129,6 +137,12 @@ def test_sweep_emits_exact_tsv(square_csv):
     assert lines[1:] == ["1/2\t4\t0", "1\t1\t1", "3/2\t1\t0"]
 
 
+def test_reduced_sweep_drops_betti0_by_one(square_csv):
+    code, out, err = run(["sweep", square_csv, "--scales", "1/2:3/2:1/2", "--reduced"])
+    assert (code, err) == (OK, "")
+    assert out.splitlines()[1:] == ["1/2\t3\t0", "1\t0\t1", "3/2\t0\t0"]
+
+
 def test_runs_are_deterministic(square_csv):
     _, first, _ = run(["homology", square_csv, "--scale", "1"])
     _, second, _ = run(["homology", square_csv, "--scale", "1"])
@@ -166,12 +180,38 @@ def test_verify_reports_failures(monkeypatch):
         ["homology", "SQUARE"],  # a distance table needs --scale
         ["nonsense"],
         [],
+        ["sweep", "SQUARE", "--scales=-1:1:1"],  # LO below zero
+        ["sweep", "SQUARE", "--scales=-3:1:1"],
+        ["homology", "SQUARE", "--scale", "1", "--max-dim", "0"],  # cap below 1
+        ["graph", "CYCLE", "--max-dim", "0"],
+        ["closure", "ARCS", "--max-dim", "0"],
+        ["sweep", "SQUARE", "--scales", "1/2:1:1/2", "--max-dim", "0"],
     ],
 )
-def test_bad_input_exits_two(argv, square_csv):
-    argv = [square_csv if a == "SQUARE" else a for a in argv]
-    code, _, _ = run(argv)
+def test_bad_input_exits_two(argv, square_csv, cycle_edges, arcs_json):
+    files = {"SQUARE": square_csv, "CYCLE": cycle_edges, "ARCS": arcs_json}
+    code, out, _ = run([files.get(a, a) for a in argv])
     assert code == BAD_INPUT
+    assert out == ""
+
+
+def test_cached_parser_answers_like_a_fresh_one(monkeypatch, square_csv, cycle_edges):
+    sequence = [
+        ["graph", cycle_edges, "--max-dim", "zero"],
+        ["graph", cycle_edges, "--coeffs", "F2"],
+        ["sweep", square_csv, "--scales", "1/2:3/2:1/2", "--reduced"],
+    ]
+
+    def strip_time(result):
+        code, out, _ = result
+        return code, "\n".join(l for l in out.splitlines() if "generated_at" not in l)
+
+    cached = [strip_time(run(argv)) for argv in sequence]
+    assert vrips.cli._build_parser() is vrips.cli._build_parser()
+    monkeypatch.setattr(vrips.cli, "_build_parser", vrips.cli._build_parser.__wrapped__)
+    fresh = [strip_time(run(argv)) for argv in sequence]
+    assert cached == fresh
+    assert [code for code, _ in cached] == [BAD_INPUT, OK, OK]
 
 
 def test_wrong_document_kind_exits_two(square_csv, cycle_edges):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vrips as v
+from vrips.cli import _auto_deltas
 from vrips.relations import (
     diagonal,
     full_relation,
@@ -18,6 +19,7 @@ from vrips.relations import (
     truncated_metric,
 )
 from conftest import metrics, symmetric_relations
+from oracles import brute_scale_pairs, brute_values
 
 
 def test_space_rejects_empty_and_duplicate_labels():
@@ -79,6 +81,45 @@ def test_metric_relation_tie_goes_to_closed(square_metric):
         v.metric_relation(square_metric, q, mode="open")
     with pytest.raises(ValueError):
         v.metric_relation(square_metric, -1)
+
+
+def _probe_scales(d):
+    """Zero, every distance value, the midpoints between neighbouring
+    values, a scale below the smallest and one above the largest."""
+    vals = d.values()
+    mids = [(a + b) / 2 for a, b in zip(vals, vals[1:])]
+    ends = [vals[0] / 2, vals[-1] + 1] if vals else [1]
+    return [0, *vals, *mids, *ends]
+
+
+def _check_scale_index(d):
+    assert d.values() == brute_values(d.dist)
+    assert [type(x) for x in d.values()] == [type(x) for x in brute_values(d.dist)]
+    for q in _probe_scales(d):
+        for mode in ("strict", "closed"):
+            rel = v.metric_relation(d, q, mode=mode)
+            assert rel.pairs == brute_scale_pairs(d.dist, q, mode) | diagonal(d.space).pairs
+        above = [x for x in brute_values(d.dist) if x > q]
+        assert _auto_deltas(d, q) == [Fraction(min(above) - q) / 2 if above else Fraction(1)]
+
+
+@given(metrics(min_points=1, max_points=7))
+@settings(max_examples=80, deadline=None)
+def test_scale_index_matches_brute_scans(d):
+    _check_scale_index(d)
+
+
+@pytest.mark.parametrize("rows", [
+    # ints with ties and zero off-diagonal distances
+    ((0, 2, 0, 5), (2, 0, 2, 3), (0, 2, 0, 5), (5, 3, 5, 0)),
+    # floats that differ only in the last bits
+    ((0, 0.1, 0.3), (0.1, 0, 0.1 + 0.2), (0.3, 0.1 + 0.2, 0)),
+    # equal values of three types: the set keeps the first one met
+    ((0, 1, Fraction(1), 1.5), (1, 0, 1.0, Fraction(3, 2)),
+     (Fraction(1), 1.0, 0, 2), (1.5, Fraction(3, 2), 2, 0)),
+])
+def test_scale_index_on_int_float_and_mixed_tables(rows):
+    _check_scale_index(v.SemiPseudometric(space_of_size(len(rows)), rows))
 
 
 @given(metrics(max_points=5), st.sampled_from([Fraction(k, 4) for k in range(9)]),
