@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from vrips import SemiPseudometric, limit_homology, scale_base
-from vrips.relations import space_of_size
+from vrips.relations import closing_offset, space_of_size
 
 
 def chord_metric(n: int, digits: int = 8) -> SemiPseudometric:
@@ -28,11 +28,6 @@ def chord_metric(n: int, digits: int = 8) -> SemiPseudometric:
         for i in range(n)
     )
     return SemiPseudometric(space_of_size(n), rows)
-
-
-def closing_offset(d: SemiPseudometric, q: Fraction) -> Fraction:
-    above = [x for x in d.values() if x > q]
-    return (min(above) - q) / 2 if above else Fraction(1)
 
 
 def scale_range(spec: str) -> list[Fraction]:

@@ -14,9 +14,9 @@ truncated at the cap, so that is what the reports contain.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
-from bisect import bisect_right
 from fractions import Fraction
 
 from .closure import ii_relation, vietoris_relation
@@ -34,7 +34,7 @@ from .documents import (
 )
 from .complexes import ComplexPair, full_subcomplex, pair_complex, vr_complex
 from .homology import INTEGERS, RATIONALS, Coefficients, homology, prime_field
-from .relations import SemiUniformBase, is_symmetric, scale_base
+from .relations import SemiUniformBase, closing_offset, is_symmetric, scale_base
 from .semiuniform import limit_homology
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 
@@ -67,15 +67,6 @@ def _load_document(path: str, fmt: str | None):
     return parse_document(_read(path), fmt or guess_format(path))
 
 
-def _auto_deltas(d, q) -> list[Fraction]:
-    """One offset making the strict relation at q + delta equal to the
-    closed relation at q: half the gap up to the next larger distance."""
-    vals = d.values()
-    k = bisect_right(vals, q)
-    delta = Fraction(vals[k] - q) / 2 if k < len(vals) else Fraction(1)
-    return [delta]
-
-
 def _betti_payload(result, max_dim: int) -> dict:
     return {
         "betti": list(result.betti[:max_dim]),
@@ -105,7 +96,7 @@ def _cmd_homology(args, out) -> int:
         if args.scale is None:
             raise ValueError("a distance table needs --scale")
         q = _parse_fraction(args.scale)
-        deltas = [_parse_fraction(t) for t in args.delta.split(",")] if args.delta else _auto_deltas(d, q)
+        deltas = [_parse_fraction(t) for t in args.delta.split(",")] if args.delta else [closing_offset(d, q)]
         params["scale"] = q
         params["deltas"] = deltas
         base = scale_base(d, q, deltas)
@@ -203,7 +194,7 @@ def _cmd_sweep(args, out) -> int:
     print("scale\t" + "\t".join(f"betti{k}" for k in range(args.max_dim)), file=out)
     q = lo
     while q <= hi:
-        base = scale_base(d, q, _auto_deltas(d, q))
+        base = scale_base(d, q, [closing_offset(d, q)])
         report = limit_homology(base, coeffs=coeffs, max_dim=args.max_dim,
                                 reduced=args.reduced)
         row = [str(q)] + [str(b) for b in report.result.betti[: args.max_dim]]
@@ -297,7 +288,8 @@ def run_command(argv, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return BAD_INPUT if exc.code not in (0, None) else OK
     try:

@@ -6,11 +6,16 @@ bases are deterministic. Complexes remember their enumeration cap
 (max_dim) and whether enumeration was exhaustive below it (complete),
 which is what lets homology flag an unreliable top dimension.
 
-Flag complexes are grown incrementally: the k-cliques are extensions of
-(k-1)-cliques by a later neighbor shared with every clique vertex, never
-by scanning all vertex subsets. Directed input goes through a greedy
+Every complex comes from one of two builders. Flag growth (clique,
+directed clique and Vietoris-Rips complexes) extends (k-1)-cliques by a
+later neighbor shared with every clique vertex, never scanning all
+vertex subsets; non-symmetric input also goes through a greedy
 source-elimination test that recognizes vertex sets admitting a total
-order with all forward pairs related.
+order with all forward pairs related. Face closure (explicit complexes,
+witness complexes of covers and nerves) takes every face of a family of
+vertex sets. The nerve is the face closure of the points' stars
+{i : x in U_i}, the Dowker dual of the witness complex, which closes the
+cover's sets. The subcomplex of a pair is a full subcomplex of the total.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .closure import Cover
-from .relations import FiniteSpace, Relation, is_symmetric, relativize
+from .relations import FiniteSpace, Relation, is_symmetric
 
 Simplex = tuple[int, ...]
 
@@ -95,11 +100,8 @@ class SimplicialComplex:
         """Simplices that are faces of nothing stored above them."""
         out = []
         for k, layer in enumerate(self.simplices):
-            above = self._sets[k + 1] if k + 1 <= self.top_dim else frozenset()
-            for s in layer:
-                rest = set(range(self.space.size)) - set(s)
-                if not any(tuple(sorted(s + (v,))) in above for v in rest):
-                    out.append(s)
+            faces = {s[:i] + s[i + 1:] for s in self.layer(k + 1) for i in range(k + 2)}
+            out.extend(s for s in layer if s not in faces)
         return tuple(out)
 
 
@@ -125,7 +127,30 @@ class ComplexPair:
         return self.total.reliable_top
 
 
-def _clique_layers(n: int, nbr_above, accept, max_dim: int):
+def _closure(space: FiniteSpace, tops, cap: int) -> SimplicialComplex:
+    # Face closure of the given vertex sets, enumerated up to the cap. A
+    # simplex above the cap exists exactly when some set is larger.
+    tops = {tuple(sorted(s)) for s in tops}
+    layers: list[set[Simplex]] = [set() for _ in range(cap + 1)]
+    for s in tops:
+        for k in range(min(len(s), cap + 1)):
+            layers[k].update(itertools.combinations(s, k + 1))
+    native = max((len(s) - 1 for s in tops), default=0)
+    return SimplicialComplex(space, tuple(tuple(sorted(layer)) for layer in layers), cap,
+                             complete=cap >= native)
+
+
+def _flag_complex(u: Relation, max_dim: int) -> SimplicialComplex:
+    # Flag growth: a k-simplex extends a (k-1)-simplex by a later vertex
+    # related, in some direction, to every vertex of it. Non-symmetric
+    # relations also need a source order on the extended set.
+    n = u.space.size
+    pairs = u.pairs
+    ordered = not is_symmetric(u)
+    nbr_above = [
+        frozenset(j for j in range(i + 1, n) if (i, j) in pairs or (j, i) in pairs)
+        for i in range(n)
+    ]
     layers = [[(i,) for i in range(n)]]
     frontier = [((i,), nbr_above[i]) for i in range(n)]
     for _ in range(max_dim):
@@ -133,19 +158,16 @@ def _clique_layers(n: int, nbr_above, accept, max_dim: int):
         for simplex, cand in frontier:
             for j in sorted(cand):
                 ext = simplex + (j,)
-                if accept(ext):
+                if not ordered or _has_source_order(ext, pairs):
                     grown.append((ext, cand & nbr_above[j]))
         if not grown:
             break
         layers.append([s for s, _ in grown])
         frontier = grown
-    return layers
-
-
-def _finished(layers, max_dim: int, ceiling: int) -> bool:
-    # Nothing above the cap can exist if enumeration stopped early or the
-    # cap already reaches the combinatorial ceiling.
-    return len(layers) - 1 < max_dim or max_dim >= ceiling
+    # Nothing above the cap can exist if growth stopped early or the cap
+    # already fits a simplex on every point.
+    return SimplicialComplex(u.space, tuple(tuple(l) for l in layers), max_dim,
+                             complete=len(layers) - 1 < max_dim or max_dim >= n - 1)
 
 
 def clique_complex(u: Relation, max_dim: int) -> SimplicialComplex:
@@ -156,18 +178,12 @@ def clique_complex(u: Relation, max_dim: int) -> SimplicialComplex:
     input is rejected: apply directed_clique_complex or symmetric_part
     first, whichever matches the intent.
     """
-    if max_dim < 0:
-        raise ValueError("max_dim must be nonnegative")
     if not is_symmetric(u):
         raise ValueError(
             "relation is not symmetric: use directed_clique_complex for order-aware "
             "simplices or symmetric_part(u) to symmetrize first"
         )
-    n = u.space.size
-    nbr = [frozenset(j for j in range(i + 1, n) if (i, j) in u.pairs) for i in range(n)]
-    layers = _clique_layers(n, nbr, lambda s: True, max_dim)
-    return SimplicialComplex(u.space, tuple(tuple(l) for l in layers), max_dim,
-                             complete=_finished(layers, max_dim, n - 1))
+    return _flag_complex(u, max_dim)
 
 
 def _has_source_order(vs: Simplex, pairs) -> bool:
@@ -194,44 +210,25 @@ def directed_clique_complex(u: Relation, max_dim: int) -> SimplicialComplex:
     pair related; diagonal pairs are ignored by the order test. On
     symmetric relations this agrees with clique_complex.
     """
-    if max_dim < 0:
-        raise ValueError("max_dim must be nonnegative")
-    n = u.space.size
-    nbr = [
-        frozenset(j for j in range(i + 1, n) if (i, j) in u.pairs or (j, i) in u.pairs)
-        for i in range(n)
-    ]
-    layers = _clique_layers(n, nbr, lambda s: _has_source_order(s, u.pairs), max_dim)
-    return SimplicialComplex(u.space, tuple(tuple(l) for l in layers), max_dim,
-                             complete=_finished(layers, max_dim, n - 1))
+    return _flag_complex(u, max_dim)
 
 
 def vr_complex(u: Relation, max_dim: int) -> SimplicialComplex:
     """Flag complex of a relation, order-aware exactly when it has to be."""
-    if is_symmetric(u):
-        return clique_complex(u, max_dim)
-    return directed_clique_complex(u, max_dim)
+    return _flag_complex(u, max_dim)
 
 
 def pair_complex(u: Relation, a, max_dim: int) -> ComplexPair:
     """Pair of flag complexes: the whole space against a nonempty subset.
 
-    The subcomplex is built from the relation restricted to the subset
-    and re-embedded on the ambient indices, which for flag complexes
-    coincides with the full subcomplex on those vertices.
+    The subcomplex is the full subcomplex of the flag complex on the
+    subset, which is the flag complex of the relation restricted to it.
     """
-    pts = sorted(u.space.check_points(a))
+    pts = u.space.check_points(a)
     if not pts:
         raise ValueError("the subset of a pair must be nonempty")
     total = vr_complex(u, max_dim)
-    sub_rel = relativize(u, pts)
-    sub_local = vr_complex(sub_rel, max_dim)
-    embedded = tuple(
-        tuple(tuple(pts[v] for v in s) for s in layer)
-        for layer in sub_local.simplices
-    )
-    sub = SimplicialComplex(u.space, embedded, max_dim, complete=sub_local.complete)
-    return ComplexPair(total, sub)
+    return ComplexPair(total, full_subcomplex(total, pts))
 
 
 def full_subcomplex(k: SimplicialComplex, vertices) -> SimplicialComplex:
@@ -248,29 +245,15 @@ def nerve_of_cover(u: Cover, max_dim: int) -> SimplicialComplex:
 
     Lives on a fresh space labeled U0, U1, ... in the cover's order.
     Empty member sets are rejected since they would be phantom vertices.
+    A set of members meets exactly when some point lies in all of them,
+    so the nerve is the face closure of the points' stars {i : x in U_i}.
     """
-    if max_dim < 0:
-        raise ValueError("max_dim must be nonnegative")
     for idx, s in enumerate(u.sets):
         if not s:
             raise ValueError(f"cover set {idx} is empty")
-    m = len(u.sets)
-    space = FiniteSpace(tuple(f"U{i}" for i in range(m)))
-    layers = [[(i,) for i in range(m)]]
-    frontier = [((i,), u.sets[i]) for i in range(m)]
-    for _ in range(max_dim):
-        grown = []
-        for simplex, common in frontier:
-            for j in range(simplex[-1] + 1, m):
-                meet = common & u.sets[j]
-                if meet:
-                    grown.append((simplex + (j,), meet))
-        if not grown:
-            break
-        layers.append([s for s, _ in grown])
-        frontier = grown
-    return SimplicialComplex(space, tuple(tuple(l) for l in layers), max_dim,
-                             complete=_finished(layers, max_dim, m - 1))
+    space = FiniteSpace(tuple(f"U{i}" for i in range(len(u.sets))))
+    stars = (tuple(i for i, s in enumerate(u.sets) if x in s) for x in u.space.points())
+    return _closure(space, stars, max_dim)
 
 
 def cover_complex(u: Cover, max_dim: int) -> SimplicialComplex:
@@ -280,20 +263,7 @@ def cover_complex(u: Cover, max_dim: int) -> SimplicialComplex:
     of the nerve in Dowker duality. It can be strictly smaller than the
     flag complex of vietoris_relation(u), which only sees pairs.
     """
-    if max_dim < 0:
-        raise ValueError("max_dim must be nonnegative")
-    layers: list[set[Simplex]] = [set() for _ in range(max_dim + 1)]
-    for s in u.sets:
-        members = sorted(s)
-        for k in range(min(len(members), max_dim + 1)):
-            layers[k].update(itertools.combinations(members, k + 1))
-    ceiling = max(len(s) for s in u.sets) - 1
-    return SimplicialComplex(
-        u.space,
-        tuple(tuple(sorted(layer)) for layer in layers),
-        max_dim,
-        complete=len([l for l in layers if l]) - 1 < max_dim or max_dim >= ceiling,
-    )
+    return _closure(u.space, u.sets, max_dim)
 
 
 def explicit_complex(space: FiniteSpace, maximal_simplices, max_dim: int | None = None) -> SimplicialComplex:
@@ -307,20 +277,8 @@ def explicit_complex(space: FiniteSpace, maximal_simplices, max_dim: int | None 
         if not s:
             raise ValueError("simplices must be nonempty")
         space.check_points(s)
-    native = max((len(s) - 1 for s in tops), default=0)
-    cap = native if max_dim is None else max_dim
-    if cap < 0:
-        raise ValueError("max_dim must be nonnegative")
-    layers: list[set[Simplex]] = [set() for _ in range(cap + 1)]
-    for s in tops:
-        for k in range(min(len(s), cap + 1)):
-            layers[k].update(itertools.combinations(s, k + 1))
-    return SimplicialComplex(
-        space,
-        tuple(tuple(sorted(layer)) for layer in layers),
-        cap,
-        complete=cap >= native,
-    )
+    cap = max((len(s) - 1 for s in tops), default=0) if max_dim is None else max_dim
+    return _closure(space, tops, cap)
 
 
 @dataclass(frozen=True)

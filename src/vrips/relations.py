@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import NamedTuple
 
 Pair = tuple[int, int]
@@ -361,6 +362,15 @@ def scale_base(d: SemiPseudometric, q, deltas) -> SemiUniformBase:
     return SemiUniformBase.from_members(
         [metric_relation(d, q + off, mode="strict") for off in offs]
     )
+
+
+def closing_offset(d: SemiPseudometric, q) -> Fraction:
+    """One offset making the strict relation at q + delta equal to the
+    closed relation at q: half the gap up to the next larger distance,
+    or 1 when no distance exceeds q."""
+    vals = d.values()
+    k = bisect_right(vals, q)
+    return Fraction(vals[k] - q) / 2 if k < len(vals) else Fraction(1)
 
 
 @dataclass(frozen=True)

@@ -111,15 +111,15 @@ def _object_at(rel: Relation, subset, max_dim: int):
     return pair_complex(rel, subset, max_dim)
 
 
-def _inclusion_agrees(min_rel: Relation, u_rel: Relation, subset, coeffs: Coefficients,
+def _inclusion_agrees(dom_obj, u_rel: Relation, subset, coeffs: Coefficients,
                       max_dim: int) -> tuple[bool, tuple[int, ...]]:
-    """Compare the limit stage against one member stage of the tower.
+    """Compare the limit stage, already built as dom_obj, against one
+    member stage of the tower.
 
     Over a field this checks that the inclusion-induced maps are
     isomorphisms on the reliably computed range; over the integers it
     compares betti numbers and torsion on that range.
     """
-    dom_obj = _object_at(min_rel, subset, max_dim)
     cod_obj = _object_at(u_rel, subset, max_dim)
     top = min(dom_obj.reliable_top, cod_obj.reliable_top)
     if top < 0:
@@ -160,7 +160,7 @@ def limit_homology(base: SemiUniformBase, subset=None, coeffs: Coefficients = IN
     for i, u in enumerate(base.members):
         if i == idx:
             continue
-        agrees, betti = _inclusion_agrees(m, u, subset, coeffs, max_dim)
+        agrees, betti = _inclusion_agrees(obj, u, subset, coeffs, max_dim)
         agreements.append(MemberAgreement(i, agrees, betti))
 
     return LimitReport(

@@ -1,9 +1,11 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here deliberately avoids the package's own algorithms:
-cliques come from subset scanning instead of incremental expansion,
-ranks from a plain fraction elimination written here, determinants from
-Bareiss, and invariant factors from determinantal divisors. Scale
+cliques, nerves and witness complexes come from subset scanning instead
+of incremental expansion or face closure, maximal simplices from a
+superset scan, ranks from a plain fraction elimination written here,
+determinants from Bareiss, and invariant factors from determinantal
+divisors. Scale
 relations and distinct distance values come from comparing every entry
 of a table instead of bisecting its sorted pairs. Slow on purpose; only
 ever applied to small instances.
@@ -59,6 +61,30 @@ def brute_directed_layers(n: int, pairs, max_dim: int) -> list[list[tuple[int, .
                 layer.append(combo)
         layers.append(layer)
     return layers
+
+
+def brute_nerve_layers(sets, max_dim: int) -> list[list[tuple[int, ...]]]:
+    """Member subsets whose sets share a point, found by scanning every subset."""
+    return [
+        [combo for combo in itertools.combinations(range(len(sets)), k + 1)
+         if frozenset.intersection(*(sets[i] for i in combo))]
+        for k in range(max_dim + 1)
+    ]
+
+
+def brute_witness_layers(n: int, sets, max_dim: int) -> list[list[tuple[int, ...]]]:
+    """Point subsets lying inside one cover set, found by scanning every subset."""
+    return [
+        [combo for combo in itertools.combinations(range(n), k + 1)
+         if any(set(combo) <= s for s in sets)]
+        for k in range(max_dim + 1)
+    ]
+
+
+def brute_maximal(layers) -> list[tuple[int, ...]]:
+    """Simplices contained in no other listed simplex, layer by layer."""
+    every = [set(s) for layer in layers for s in layer]
+    return [s for layer in layers for s in layer if not any(set(s) < t for t in every)]
 
 
 def boundary_from_layers(lower, upper) -> list[list[int]]:

@@ -190,9 +190,10 @@ def test_verify_reports_failures(monkeypatch):
 )
 def test_bad_input_exits_two(argv, square_csv, cycle_edges, arcs_json):
     files = {"SQUARE": square_csv, "CYCLE": cycle_edges, "ARCS": arcs_json}
-    code, out, _ = run([files.get(a, a) for a in argv])
+    code, out, err = run([files.get(a, a) for a in argv])
     assert code == BAD_INPUT
     assert out == ""
+    assert err
 
 
 def test_cached_parser_answers_like_a_fresh_one(monkeypatch, square_csv, cycle_edges):
@@ -226,6 +227,17 @@ def test_wrong_document_kind_exits_two(square_csv, cycle_edges):
 def test_help_exits_zero():
     code, _, _ = run(["--help"])
     assert code == OK
+
+
+def test_argument_messages_go_to_the_given_streams(capsys):
+    code, out, err = run(["graph"])
+    assert code == BAD_INPUT
+    assert out == ""
+    assert err.startswith("usage: vrips graph") and "required" in err
+    code, out, err = run(["--help"])
+    assert code == OK
+    assert out.startswith("usage: vrips") and err == ""
+    assert capsys.readouterr() == ("", "")
 
 
 def test_module_entry_point(square_csv):

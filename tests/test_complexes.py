@@ -6,9 +6,17 @@ from hypothesis import strategies as st
 
 import vrips as v
 from vrips.complexes import chain_image, directed_clique_complex
-from vrips.relations import full_relation, is_symmetric, relation, space_of_size
-from conftest import RP2_FACES, any_relations, explicit_complexes, symmetric_relations
-from oracles import brute_clique_layers, brute_directed_layers
+from vrips.relations import full_relation, is_symmetric, relation, relativize, space_of_size
+from conftest import RP2_FACES, any_relations, covers, explicit_complexes, symmetric_relations
+from oracles import (
+    brute_clique_layers,
+    brute_directed_layers,
+    brute_maximal,
+    brute_nerve_layers,
+    brute_witness_layers,
+)
+
+CAPS = st.integers(0, 4)
 
 
 def test_complex_validation():
@@ -91,6 +99,21 @@ def test_pair_complex_matches_full_subcomplex(rel, data):
     assert pair.sub.simplices == direct.simplices
 
 
+@given(any_relations(max_points=5), CAPS, st.data())
+@settings(max_examples=80, deadline=None)
+def test_pair_sub_is_the_flag_complex_of_the_restriction(rel, cap, data):
+    pts = sorted(data.draw(
+        st.frozensets(st.integers(0, rel.space.size - 1), min_size=1),
+        label="subset",
+    ))
+    local = relativize(rel, pts)
+    expected = brute_directed_layers(len(pts), local.off_diagonal(), cap)
+    pair = v.pair_complex(rel, pts, cap)
+    assert [list(pair.sub.layer(d)) for d in range(cap + 1)] == [
+        sorted(tuple(pts[i] for i in s) for s in layer) for layer in expected
+    ]
+
+
 def test_pair_complex_rejects_empty_subset(cycle4):
     with pytest.raises(ValueError):
         v.pair_complex(cycle4, [], 2)
@@ -113,6 +136,24 @@ def test_nerve_triple_overlap_fills():
     assert nerve.n_cells(2) == 1
 
 
+@given(covers(), CAPS)
+@settings(max_examples=80, deadline=None)
+def test_nerve_matches_intersection_scan(cov, cap):
+    nerve = v.nerve_of_cover(cov, cap)
+    expected = brute_nerve_layers(cov.sets, cap + 1)
+    assert [list(nerve.layer(d)) for d in range(cap + 1)] == expected[:-1]
+    assert nerve.complete == (not expected[-1])
+
+
+def test_nerve_reaching_the_cap_with_nothing_above_is_complete():
+    # Three arcs meet pairwise but share no point: the hollow triangle
+    # fills the cap of 1 and no 2-simplex exists above it.
+    cov = v.Cover(space_of_size(3), (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})))
+    nerve = v.nerve_of_cover(cov, 1)
+    assert nerve.top_dim == 1
+    assert nerve.complete
+
+
 def test_nerve_rejects_empty_sets():
     cov = v.Cover(space_of_size(2), (frozenset({0, 1}), frozenset()))
     with pytest.raises(ValueError):
@@ -128,6 +169,15 @@ def test_cover_complex_three_arcs_stays_hollow():
     # complex fills the triangle; the witness complex must not.
     flagged = v.clique_complex(v.vietoris_relation(cov), 2)
     assert flagged.n_cells(2) == 1
+
+
+@given(covers(), CAPS)
+@settings(max_examples=80, deadline=None)
+def test_cover_complex_matches_subset_scan(cov, cap):
+    kw = v.cover_complex(cov, cap)
+    expected = brute_witness_layers(cov.space.size, cov.sets, cap + 1)
+    assert [list(kw.layer(d)) for d in range(cap + 1)] == expected[:-1]
+    assert kw.complete == (not expected[-1])
 
 
 def test_cover_complex_single_set_is_simplex():
@@ -163,6 +213,13 @@ def test_explicit_complex_truncation():
 def test_maximal_simplices_regenerate_the_complex(k):
     rebuilt = v.explicit_complex(k.space, k.maximal_simplices(), max_dim=k.max_dim)
     assert rebuilt.simplices == k.simplices
+
+
+@given(any_relations(max_points=5), CAPS)
+@settings(max_examples=80, deadline=None)
+def test_maximal_simplices_match_superset_scan(rel, cap):
+    k = v.vr_complex(rel, cap)
+    assert list(k.maximal_simplices()) == brute_maximal(k.simplices)
 
 
 def test_vertex_map_validation(cycle4):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vrips as v
-from vrips.cli import _auto_deltas
 from vrips.relations import (
+    closing_offset,
     diagonal,
     full_relation,
     is_symmetric,
@@ -100,7 +100,7 @@ def _check_scale_index(d):
             rel = v.metric_relation(d, q, mode=mode)
             assert rel.pairs == brute_scale_pairs(d.dist, q, mode) | diagonal(d.space).pairs
         above = [x for x in brute_values(d.dist) if x > q]
-        assert _auto_deltas(d, q) == [Fraction(min(above) - q) / 2 if above else Fraction(1)]
+        assert closing_offset(d, q) == (Fraction(min(above) - q) / 2 if above else Fraction(1))
 
 
 @given(metrics(min_points=1, max_points=7))
