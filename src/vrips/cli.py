@@ -34,7 +34,7 @@ from .documents import (
 )
 from .complexes import ComplexPair, full_subcomplex, pair_complex, vr_complex
 from .homology import INTEGERS, RATIONALS, Coefficients, homology, prime_field
-from .relations import SemiUniformBase, closing_offset, is_symmetric, scale_base
+from .relations import closing_offset, scale_base
 from .semiuniform import limit_homology
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 
@@ -137,19 +137,9 @@ def _cmd_graph(args, out) -> int:
     subset = sorted(args.subset) if args.subset else None
     if subset is not None:
         params["subset"] = subset
-    if is_symmetric(rel):
-        base = SemiUniformBase.from_members([rel])
-        report = limit_homology(base, subset=subset, coeffs=coeffs,
-                                max_dim=args.max_dim, reduced=args.reduced)
-        result = report.result
-    else:
-        # A lone non-symmetric relation is not a base (its inverse
-        # contains no member), so the order-aware complex is used directly.
-        if subset is not None:
-            obj = pair_complex(rel, subset, args.max_dim)
-        else:
-            obj = vr_complex(rel, args.max_dim)
-        result = homology(obj, coeffs, reduced=args.reduced)
+    # For a symmetric relation this is the limit over its one-member base.
+    obj = vr_complex(rel, args.max_dim) if subset is None else pair_complex(rel, subset, args.max_dim)
+    result = homology(obj, coeffs, reduced=args.reduced)
     _emit(out, "graph", params, _betti_payload(result, args.max_dim))
     return OK
 
@@ -165,9 +155,7 @@ def _cmd_closure(args, out) -> int:
         rel = ii_relation(c, cover)
     else:
         rel = vietoris_relation(cover)
-    base = SemiUniformBase.from_members([rel])
-    report = limit_homology(base, coeffs=coeffs, max_dim=args.max_dim,
-                            reduced=args.reduced)
+    result = homology(vr_complex(rel, args.max_dim), coeffs, reduced=args.reduced)
     params = {
         "input": args.input,
         "max_dim": args.max_dim,
@@ -175,7 +163,7 @@ def _cmd_closure(args, out) -> int:
         "reduced": args.reduced,
         "relation": args.relation,
     }
-    _emit(out, "closure", params, _betti_payload(report.result, args.max_dim))
+    _emit(out, "closure", params, _betti_payload(result, args.max_dim))
     return OK
 
 

@@ -6,20 +6,21 @@ faces of the j-th k-simplex as {row: coefficient}. One column reduction
 serves every computation (Edelsbrunner and Harer, Computational
 Topology, ch. VII). Columns are reduced left to right until their
 lowest nonzero rows are distinct, which gives R = D V with every pivot
-of R normalised to 1; the pivot count is the rank. Working from the top
-dimension down, a column of d_k whose index is a pivot row of d_{k+1}
-is known to reduce to zero and is skipped (clearing). Field arithmetic
-is exact: integers and Fractions for the rationals, residues for a
-prime field. Cohomology reduces the transposed (coboundary) columns
-with the same loop, from the bottom dimension up.
+of R normalised to 1; the pivot count is the rank. Field arithmetic is
+exact: integers and Fractions for the rationals, residues for a prime
+field. Nothing here ever touches floating point.
 
-Over the integers the same loop runs while every pivot is +1 or -1. The
-pivot rows then form a unit triangular minor, so the rank is the pivot
-count and the group below has no torsion. A degree that meets any other
-pivot falls back to a dense Smith normal form for its rank and torsion;
-smith_normal_form stays public, with full transform tracking. Dense
-IntegerMatrix boundaries are only built for boundary_matrices and for
-that fallback. Nothing here ever touches floating point.
+One reducer per chain complex owns the walk over its degrees: the top
+down order, the clearing (a column of d_k whose index is a pivot row of
+d_{k+1} is known to reduce to zero and is skipped), the reduction
+records V kept for homology bases, and the integer fallback. Over the
+integers the loop runs while every pivot is +1 or -1; the pivot rows
+then form a unit triangular minor, so the rank is the pivot count and
+the group below has no torsion. A degree that meets any other pivot
+takes its rank and torsion from a dense Smith normal form instead.
+Cohomology reduces the transposed (coboundary) columns from the bottom
+dimension up, on purpose apart from the reducer, so that comparing it
+with homology over a field checks one computation against another.
 
 Induced maps are computed over a field only, relative to deterministic
 homology bases. In degree k the representatives are the reduction
@@ -98,7 +99,6 @@ def _field_modulus(coeffs: Coefficients, what: str) -> int | None:
     return coeffs.p
 
 
-
 # --------------------------------------------------------------------------
 # integer matrices and Smith normal form
 
@@ -158,12 +158,6 @@ class SNFResult:
     d: tuple[int, ...]
     left: IntegerMatrix
     right: IntegerMatrix
-
-
-def _as_integer_matrix(m) -> IntegerMatrix:
-    if isinstance(m, IntegerMatrix):
-        return m
-    return IntegerMatrix.from_rows(m)
 
 
 def _snf_core(a: list[list[int]], rows: int, cols: int, track: bool):
@@ -278,7 +272,7 @@ def smith_normal_form(m) -> SNFResult:
     Works in arbitrary precision. The transforms are built from
     elementary operations only, so their determinants are +1 or -1.
     """
-    mat = _as_integer_matrix(m)
+    mat = m if isinstance(m, IntegerMatrix) else IntegerMatrix.from_rows(m)
     a = [list(row) for row in mat.entries]
     d, left, right = _snf_core(a, mat.rows, mat.cols, track=True)
     return SNFResult(
@@ -292,7 +286,6 @@ def _snf_diagonal(mat: IntegerMatrix) -> list[int]:
     a = [list(row) for row in mat.entries]
     d, _, _ = _snf_core(a, mat.rows, mat.cols, track=False)
     return d
-
 
 
 # --------------------------------------------------------------------------
@@ -508,35 +501,28 @@ def homology(obj, coeffs: Coefficients = INTEGERS, reduced: bool = False,
     chains = _chains_of(obj)
     whole = _whole(obj)
     cap = whole.max_dim
+    p = _field_modulus(coeffs, "generator extraction") if with_generators else coeffs.p
+    reducer = _Reducer(chains, p, integral=not coeffs.is_field)
+    # Bases first and from the top down, so the ranks below reuse their
+    # reductions and every degree is reduced once.
+    bases = [reducer.basis(k) for k in range(cap, -1, -1)][::-1] if with_generators else None
 
     ranks = [0] * (cap + 2)
     torsion: list[tuple[int, ...]] = [()] * (cap + 1)
-    cleared: dict = {}
     for k in range(chains.top, 0, -1):
-        red = _reduce(chains.columns(k), coeffs.p, cleared, integral=not coeffs.is_field)
-        if red.stalled:
-            diag = _snf_diagonal(chains.dense(k))
-            ranks[k] = sum(1 for v in diag if v)
-            torsion[k - 1] = tuple(v for v in diag if v > 1)
-        else:
-            ranks[k] = len(red.pivots)
-        cleared = red.pivots
+        ranks[k], torsion[k - 1] = reducer.rank(k)
 
     betti = [chains.n(k) - ranks[k] - ranks[k + 1] for k in range(cap + 1)]
     if reduced and chains.n(0) > 0 and not chains.relative_nonempty:
         betti[0] -= 1
 
-    generators = None
-    if with_generators:
-        p = _field_modulus(coeffs, "generator extraction")
-        reducer = _Reducer(chains, p)
-        generators = tuple(
-            tuple(
-                tuple((chains.bases[k][i], _field_value(c, p)) for i, c in sorted(rep.items()))
-                for rep in reducer.basis(k).reps
-            )
-            for k in range(cap, -1, -1)
-        )[::-1]
+    generators = None if bases is None else tuple(
+        tuple(
+            tuple((chains.bases[k][i], _field_value(c, p)) for i, c in sorted(rep.items()))
+            for rep in basis.reps
+        )
+        for k, basis in enumerate(bases)
+    )
 
     return HomologyResult(
         tuple(betti),
@@ -604,30 +590,43 @@ class _DimBasis:
 
 
 class _Reducer:
-    """Lazy homology bases of one chain complex over one field.
+    """The reductions of one chain complex, degree by degree.
 
-    Asking for bases from the top degree down reduces each boundary
-    once: the reduction behind basis(k) also supplies the pivots, and
-    hence the clearing, for basis(k - 1).
+    This is the one place that walks the degrees of a chain complex for
+    homology. reduction(k) clears degree k with the pivots of
+    reduction(k + 1), so asking from the top degree down reduces each
+    boundary once; rank and basis read the same reductions. An integral
+    reducer works over Z: a degree whose reduction stalls at a non-unit
+    pivot takes its rank and torsion from a dense Smith normal form.
     """
 
-    def __init__(self, chains: _Chains, p: int | None):
+    def __init__(self, chains: _Chains, p: int | None, integral: bool = False):
         self.chains = chains
         self.p = p
+        self.integral = integral
         self._reductions: dict[int, _Reduction] = {}
         self._bases: dict[int, _DimBasis] = {}
 
-    def _reduction(self, k: int, keep_v: bool = False, clear=()) -> _Reduction:
+    def reduction(self, k: int, keep_v: bool = False) -> _Reduction:
         red = self._reductions.get(k)
         if red is None or (keep_v and red.records is None):
-            red = _reduce(self.chains.columns(k), self.p, clear, keep_v=keep_v)
+            clear = self.reduction(k + 1).pivots if k < self.chains.top else ()
+            red = _reduce(self.chains.columns(k), self.p, clear, keep_v, self.integral)
             self._reductions[k] = red
         return red
 
+    def rank(self, k: int) -> tuple[int, tuple[int, ...]]:
+        """Rank of d_k and the torsion it leaves in degree k - 1."""
+        red = self.reduction(k)
+        if not red.stalled:
+            return len(red.pivots), ()
+        diag = _snf_diagonal(self.chains.dense(k))
+        return sum(1 for v in diag if v), tuple(v for v in diag if v > 1)
+
     def basis(self, k: int) -> _DimBasis:
         if k not in self._bases:
-            up = self._reduction(k + 1).pivots
-            red = self._reduction(k, keep_v=True, clear=up)
+            up = self.reduction(k + 1).pivots
+            red = self.reduction(k, keep_v=True)
             by_low = {low: (col, None) for low, col in up.items()}
             reps = []
             for j, v in red.cycles:
@@ -656,13 +655,9 @@ def _mat_is_zero(rows) -> bool:
     return all(x == 0 for row in rows for x in row)
 
 
-def _mat_product(a, b, p: int | None):
-    if not a or not b:
-        return ()
-    return tuple(
-        tuple(_dot(row, [b[t][j] for t in range(len(b))], p) for j in range(len(b[0])))
-        for row in a
-    )
+def _mat_product(a, b, cols: int, p: int | None):
+    """a times b, where b has cols columns; either may have no rows."""
+    return tuple(tuple(_dot(row, [brow[j] for brow in b], p) for j in range(cols)) for row in a)
 
 
 @dataclass(frozen=True)
@@ -690,19 +685,11 @@ class InducedMapResult:
         top = min(self.top, inner.top)
         if inner.codomain_ranks[: top + 1] != self.domain_ranks[: top + 1]:
             raise ValueError("composition shape mismatch")
-        p = self.coeffs.p
-        mats = []
-        for k in range(top + 1):
-            a, b = self.matrices[k], inner.matrices[k]
-            mid = self.domain_ranks[k]
-            mats.append(tuple(
-                tuple(_dot(a[i], [b[t][j] for t in range(mid)], p)
-                      for j in range(inner.domain_ranks[k]))
-                for i in range(self.codomain_ranks[k])
-            ))
         return InducedMapResult(
             self.coeffs,
-            tuple(mats),
+            tuple(_mat_product(self.matrices[k], inner.matrices[k], inner.domain_ranks[k],
+                               self.coeffs.p)
+                  for k in range(top + 1)),
             inner.domain_ranks[: top + 1],
             self.codomain_ranks[: top + 1],
         )
@@ -755,17 +742,6 @@ def _chain_map_matrix(dom_red: _Reducer, cod_red: _Reducer, image_fn, k: int):
     return _transpose(cols, cb.h)
 
 
-def _induced_result(dom_red, cod_red, image_fn, coeffs, top):
-    # Top degree first, so every boundary is reduced once (see _Reducer).
-    mats = [_chain_map_matrix(dom_red, cod_red, image_fn, k) for k in range(top, -1, -1)]
-    return InducedMapResult(
-        coeffs,
-        tuple(reversed(mats)),
-        tuple(dom_red.basis(k).h for k in range(top + 1)),
-        tuple(cod_red.basis(k).h for k in range(top + 1)),
-    )
-
-
 def induced_map(f, coeffs: Coefficients, top_dim: int | None = None) -> InducedMapResult:
     """Homology maps of a simplicial vertex map, a pair's quotient, or an inclusion.
 
@@ -791,8 +767,15 @@ def induced_map(f, coeffs: Coefficients, top_dim: int | None = None) -> InducedM
     top = min(dom.reliable_top, cod.reliable_top) if top_dim is None else top_dim
     if top < 0:
         raise ValueError("no dimension is reliably computable at this cap")
-    return _induced_result(_Reducer(_chains_of(dom), p), _Reducer(_chains_of(cod), p),
-                           image_fn, coeffs, top)
+    dom_red, cod_red = _Reducer(_chains_of(dom), p), _Reducer(_chains_of(cod), p)
+    # Top degree first, so every boundary is reduced once (see _Reducer).
+    mats = [_chain_map_matrix(dom_red, cod_red, image_fn, k) for k in range(top, -1, -1)]
+    return InducedMapResult(
+        coeffs,
+        tuple(reversed(mats)),
+        tuple(dom_red.basis(k).h for k in range(top + 1)),
+        tuple(cod_red.basis(k).h for k in range(top + 1)),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -881,11 +864,11 @@ def check_les_exactness(p: ComplexPair, coeffs: Coefficients, top_dim: int) -> L
         rc = _mat_rank(conn[k], mod) if k >= 1 else 0
         rows.append(LESRow(k, h_sub, h_total, h_rel, ri, rq, rc))
 
-        if not _mat_is_zero(_mat_product(quot[k], incl[k], mod)):
+        if not _mat_is_zero(_mat_product(quot[k], incl[k], h_sub, mod)):
             failures.append(f"dim {k}: quotient after inclusion is nonzero")
         if ri + rq != h_total:
             failures.append(f"dim {k}: ranks {ri}+{rq} do not fill H_{k}(total)={h_total}")
-        if k >= 1 and not _mat_is_zero(_mat_product(conn[k], quot[k], mod)):
+        if k >= 1 and not _mat_is_zero(_mat_product(conn[k], quot[k], h_total, mod)):
             failures.append(f"dim {k}: connecting after quotient is nonzero")
         # At k = 0 the sequence exits into zero, so the quotient must fill
         # the relative group on its own (rc is zero there).
@@ -893,7 +876,7 @@ def check_les_exactness(p: ComplexPair, coeffs: Coefficients, top_dim: int) -> L
             failures.append(f"dim {k}: ranks {rq}+{rc} do not fill H_{k}(rel)={h_rel}")
         if k < top_dim:
             up = conn[k + 1]
-            if not _mat_is_zero(_mat_product(incl[k], up, mod)):
+            if not _mat_is_zero(_mat_product(incl[k], up, red_rel.basis(k + 1).h, mod)):
                 failures.append(f"dim {k}: inclusion after connecting is nonzero")
             ru = _mat_rank(up, mod)
             if ru + ri != h_sub:

@@ -111,24 +111,24 @@ def _object_at(rel: Relation, subset, max_dim: int):
     return pair_complex(rel, subset, max_dim)
 
 
-def _inclusion_agrees(dom_obj, u_rel: Relation, subset, coeffs: Coefficients,
+def _inclusion_agrees(dom_obj, dom_result, u_rel: Relation, subset, coeffs: Coefficients,
                       max_dim: int) -> tuple[bool, tuple[int, ...]]:
     """Compare the limit stage, already built as dom_obj, against one
     member stage of the tower.
 
     Over a field this checks that the inclusion-induced maps are
     isomorphisms on the reliably computed range; over the integers it
-    compares betti numbers and torsion on that range.
+    compares betti numbers and torsion on that range with dom_result,
+    the limit stage's unreduced homology.
     """
     cod_obj = _object_at(u_rel, subset, max_dim)
     top = min(dom_obj.reliable_top, cod_obj.reliable_top)
     if top < 0:
         return True, ()
     if not coeffs.is_field:
-        a = homology(dom_obj, coeffs)
         b = homology(cod_obj, coeffs)
-        agrees = (a.betti[: top + 1] == b.betti[: top + 1]
-                  and a.torsion[: top + 1] == b.torsion[: top + 1])
+        agrees = (dom_result.betti[: top + 1] == b.betti[: top + 1]
+                  and dom_result.torsion[: top + 1] == b.torsion[: top + 1])
         return agrees, b.betti[: top + 1]
     m = induced_map(Inclusion(dom_obj, cod_obj), coeffs, top_dim=top)
     return all(m.is_isomorphism_at(k) for k in range(top + 1)), m.codomain_ranks
@@ -156,11 +156,15 @@ def limit_homology(base: SemiUniformBase, subset=None, coeffs: Coefficients = IN
         for j, v in enumerate(base.members)
         if i != j and u.pairs <= v.pairs
     )
+    # Over Z the members are compared with the minimum's unreduced groups.
+    plain = None if reduced else result
     agreements = []
     for i, u in enumerate(base.members):
         if i == idx:
             continue
-        agrees, betti = _inclusion_agrees(obj, u, subset, coeffs, max_dim)
+        if plain is None and not coeffs.is_field:
+            plain = homology(obj, coeffs)
+        agrees, betti = _inclusion_agrees(obj, plain, u, subset, coeffs, max_dim)
         agreements.append(MemberAgreement(i, agrees, betti))
 
     return LimitReport(

@@ -6,10 +6,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import vrips as v
 import vrips.cli
+from conftest import any_relations
 from vrips.cli import BAD_INPUT, FAILED, OK, run_command
 from vrips.documents import parse_result, results_equal
+from vrips.relations import is_symmetric
 from vrips.semiuniform import AxiomVerdict
 
 SQUARE_CSV = """\
@@ -115,6 +120,40 @@ def test_directed_graph_command(tmp_path):
     doc = parse_result(out)
     assert doc["parameters"]["directed"] is True
     assert doc["results"]["betti"] == [1, 0]
+
+
+COEFFS = {"Z": v.INTEGERS, "Q": v.RATIONALS, "F2": v.prime_field(2)}
+
+
+@given(any_relations(), st.sampled_from(sorted(COEFFS)), st.integers(1, 3),
+       st.booleans(), st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_graph_command_is_the_homology_of_the_flag_complex(tmp_path, rel, coeffs, cap,
+                                                            reduced, data):
+    n = rel.space.size
+    subset = data.draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    symmetric = is_symmetric(rel)
+    edges = sorted((i, j) for i, j in rel.pairs if i != j and (i < j or not symmetric))
+    path = tmp_path / "rel.json"
+    path.write_text(json.dumps({"kind": "graph", "labels": list(rel.space.labels),
+                                "edges": [list(e) for e in edges], "directed": not symmetric}))
+    argv = ["graph", str(path), "--coeffs", coeffs, "--max-dim", str(cap)]
+    argv += ["--reduced"] * reduced + (["--subset", *map(str, subset)] if subset else [])
+    code, out, err = run(argv)
+    assert (code, err) == (OK, "")
+    got = parse_result(out)["results"]
+
+    field = COEFFS[coeffs]
+    obj = v.vr_complex(rel, cap) if subset is None else v.pair_complex(rel, subset, cap)
+    want = v.homology(obj, field, reduced=reduced)
+    assert got["betti"] == list(want.betti[:cap])
+    assert got["torsion"] == [list(t) for t in want.torsion[:cap]]
+    if symmetric:
+        base = v.SemiUniformBase.from_members([rel])
+        limit = v.limit_homology(base, subset=subset, coeffs=field, max_dim=cap,
+                                 reduced=reduced).result
+        assert (limit.betti, limit.torsion) == (want.betti, want.torsion)
 
 
 def test_closure_command_both_relations(tmp_path):

@@ -119,6 +119,17 @@ def test_compose_mismatches_raise(cycle4):
         ident.compose(f2)
 
 
+def test_compose_through_a_zero_group_keeps_its_shape(cycle4):
+    k = v.clique_complex(cycle4, 2)
+    pt = v.clique_complex(relation(space_of_size(1)), 2)
+    collapse = v.induced_map(v.simplicial_map([0, 0, 0, 0], k, pt), v.RATIONALS)
+    embed = v.induced_map(v.simplicial_map([0], pt, k), v.RATIONALS)
+    through = embed.compose(collapse)
+    assert through.domain_ranks == through.codomain_ranks == (1, 1, 0)
+    assert through.matrices[1] == ((Fraction(0),),)
+    assert through == v.induced_map(v.simplicial_map([0, 0, 0, 0], k, k), v.RATIONALS)
+
+
 def test_les_filled_triangle():
     space = space_of_size(3)
     tri = v.clique_complex(full_relation(space), 3)

@@ -162,3 +162,27 @@ def test_homology_bases_are_bases(obj, p):
             if k >= 1 and any(row[j] for row in down):
                 with pytest.raises(ValueError, match="not a cycle"):
                     basis.coords({j: 1})
+
+
+def test_generators_reduce_each_degree_once(monkeypatch):
+    calls = []
+    reduce = hom._reduce
+
+    def counting(columns, *args, **kwargs):
+        calls.append(list(columns))
+        return reduce(columns, *args, **kwargs)
+
+    monkeypatch.setattr(hom, "_reduce", counting)
+    k = v.clique_complex(v.graph_relation([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)],
+                                          v.FiniteSpace(tuple("abcde"))), 3)
+    chains = hom._chains_of(k)
+    degrees = [chains.columns(d) for d in range(k.max_dim + 2)]
+    for coeffs in (v.RATIONALS, v.prime_field(2)):
+        calls.clear()
+        res = v.homology(k, coeffs, with_generators=True)
+        assert res.betti == (1, 0, 0, 0)
+        # Degrees 0 .. cap + 1, each reduced at most once.
+        assert len(calls) <= k.max_dim + 2
+        nonempty = [c for c in calls if c]
+        assert all(c in degrees for c in nonempty)
+        assert all(a != b for i, a in enumerate(nonempty) for b in nonempty[i + 1:])

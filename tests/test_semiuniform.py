@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import vrips as v
 from vrips.relations import full_relation, metric_relation, relation, space_of_size
+import vrips.semiuniform as su
 from vrips.semiuniform import NoMinimumError, interval_space
-from conftest import metrics
+from conftest import circle_metric, metrics
 
 
 HALF = Fraction(1, 2)
@@ -221,3 +222,34 @@ def test_failing_verdict_requires_a_witness():
         v.AxiomVerdict("anything", "instance", False, "")
     ok = v.AxiomVerdict("anything", "instance", True)
     assert bool(ok)
+
+
+def test_integer_limit_computes_the_minimum_once(monkeypatch):
+    calls = []
+    true_homology = su.homology
+
+    def counting(obj, *args, **kwargs):
+        calls.append(obj)
+        return true_homology(obj, *args, **kwargs)
+
+    d = circle_metric(8)
+    base = v.scale_base(d, Fraction(7, 10), [Fraction(1, 10), Fraction(4, 5)])
+    assert base.members[0] != base.members[1]
+    monkeypatch.setattr(su, "homology", counting)
+    reports = {}
+    for reduced, most in ((False, 2), (True, 3)):
+        calls.clear()
+        reports[reduced] = v.limit_homology(base, reduced=reduced)
+        assert len(calls) <= most
+    assert reports[False].stabilization == reports[True].stabilization
+    # Each member against the minimum's unreduced groups, recomputed here.
+    monkeypatch.undo()
+    low_k = v.vr_complex(reports[False].minimum, 2)
+    low = v.homology(low_k)
+    for entry in reports[False].stabilization:
+        k = v.vr_complex(base.members[entry.member_index], 2)
+        top = min(k.reliable_top, low_k.reliable_top)
+        mine = v.homology(k)
+        assert entry.betti == mine.betti[: top + 1]
+        assert entry.agrees == ((low.betti[: top + 1], low.torsion[: top + 1])
+                                == (mine.betti[: top + 1], mine.torsion[: top + 1]))
