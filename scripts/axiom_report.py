@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run the axiom suites across several seeds and summarize the verdicts.
 
-Exit status is 0 only if every check over every seed passed, so the
-script doubles as a long-running smoke test:
+Exit status is 0 only if every check over every seed passed, and 2 on
+bad arguments, so the script doubles as a long-running smoke test:
 
     python3 scripts/axiom_report.py --seeds 5 --trials 30
 """
@@ -27,14 +27,20 @@ def main(argv=None) -> int:
     passed: Counter = Counter()
     failed: Counter = Counter()
     failures = []
-    for seed in range(args.seed, args.seed + args.seeds):
-        config = SuiteConfig(seed=seed, trials=args.trials, max_dim=args.max_dim)
-        for verdict in run_suite(args.suite, config):
-            if verdict.passed:
-                passed[verdict.axiom] += 1
-            else:
-                failed[verdict.axiom] += 1
-                failures.append((seed, verdict))
+    try:
+        if args.seeds < 1:
+            raise ValueError("--seeds must be at least 1")
+        for seed in range(args.seed, args.seed + args.seeds):
+            config = SuiteConfig(seed=seed, trials=args.trials, max_dim=args.max_dim)
+            for verdict in run_suite(args.suite, config):
+                if verdict.passed:
+                    passed[verdict.axiom] += 1
+                else:
+                    failed[verdict.axiom] += 1
+                    failures.append((seed, verdict))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     width = max(len(axiom) for axiom in set(passed) | set(failed))
     print(f"{'axiom'.ljust(width)}  pass  fail")

@@ -6,6 +6,7 @@ spaced points of the unit circle and reports betti numbers of the limit
 homology at each scale. The (1, 1) cells mark the window where the
 sample looks like the circle it came from; below it the sample falls
 apart into points, above it the complex fills in and kills the loop.
+Bad arguments print one error line and exit with status 2.
 """
 
 import argparse
@@ -14,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from vrips import SemiPseudometric, limit_homology, scale_base
+from vrips.documents import scale_range
 from vrips.relations import closing_offset, space_of_size
 
 
@@ -30,18 +32,6 @@ def chord_metric(n: int, digits: int = 8) -> SemiPseudometric:
     return SemiPseudometric(space_of_size(n), rows)
 
 
-def scale_range(spec: str) -> list[Fraction]:
-    lo, hi, step = (Fraction(part) for part in spec.split(":"))
-    if step <= 0 or hi < lo:
-        raise ValueError("scales must satisfy LO <= HI with a positive STEP")
-    out = []
-    q = lo
-    while q <= hi:
-        out.append(q)
-        q += step
-    return out
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--points", type=int, nargs="+", default=[8, 12, 16, 20])
@@ -50,8 +40,12 @@ def main(argv=None) -> int:
     ap.add_argument("--max-dim", type=int, default=2, dest="max_dim")
     args = ap.parse_args(argv)
 
-    metrics = {n: chord_metric(n) for n in args.points}
-    scales = scale_range(args.scales)
+    try:
+        metrics = {n: chord_metric(n) for n in args.points}
+        scales = scale_range(args.scales)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     header = ["scale"] + [f"n={n}" for n in args.points]
     print("\t".join(header))

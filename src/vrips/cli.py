@@ -17,7 +17,6 @@ import argparse
 import contextlib
 import functools
 import sys
-from fractions import Fraction
 
 from .closure import ii_relation, vietoris_relation
 from .documents import (
@@ -27,9 +26,11 @@ from .documents import (
     document_to_complex,
     document_to_metric,
     document_to_relation,
+    exact_number,
     guess_format,
     parse_document,
     result_document,
+    scale_range,
     serialize_result,
 )
 from .complexes import ComplexPair, full_subcomplex, pair_complex, vr_complex
@@ -49,13 +50,6 @@ def _parse_coeffs(text: str) -> Coefficients:
     if text.startswith("F") and text[1:].isdigit():
         return prime_field(int(text[1:]))
     raise ValueError(f"unknown coefficients {text!r}: use Z, Q, or F<prime>")
-
-
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not an exact number: {text!r}") from exc
 
 
 def _read(path: str) -> str:
@@ -95,8 +89,8 @@ def _cmd_homology(args, out) -> int:
         d = document_to_metric(doc)
         if args.scale is None:
             raise ValueError("a distance table needs --scale")
-        q = _parse_fraction(args.scale)
-        deltas = [_parse_fraction(t) for t in args.delta.split(",")] if args.delta else [closing_offset(d, q)]
+        q = exact_number(args.scale)
+        deltas = [exact_number(t) for t in args.delta.split(",")] if args.delta else [closing_offset(d, q)]
         params["scale"] = q
         params["deltas"] = deltas
         base = scale_base(d, q, deltas)
@@ -173,21 +167,14 @@ def _cmd_sweep(args, out) -> int:
         raise ValueError("sweep needs a distance table")
     d = document_to_metric(doc)
     coeffs = _parse_coeffs(args.coeffs)
-    parts = args.scales.split(":")
-    if len(parts) != 3:
-        raise ValueError("scales must be LO:HI:STEP")
-    lo, hi, step = (_parse_fraction(p) for p in parts)
-    if lo < 0 or step <= 0 or hi < lo:
-        raise ValueError("scales must satisfy 0 <= LO <= HI with a positive STEP")
+    scales = scale_range(args.scales)
     print("scale\t" + "\t".join(f"betti{k}" for k in range(args.max_dim)), file=out)
-    q = lo
-    while q <= hi:
+    for q in scales:
         base = scale_base(d, q, [closing_offset(d, q)])
         report = limit_homology(base, coeffs=coeffs, max_dim=args.max_dim,
                                 reduced=args.reduced)
         row = [str(q)] + [str(b) for b in report.result.betti[: args.max_dim]]
         print("\t".join(row), file=out)
-        q += step
     return OK
 
 

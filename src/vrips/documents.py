@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -54,11 +55,42 @@ class SpaceDocument:
         return FiniteSpace(self.labels)
 
 
-def _fraction(text: str, line: int | None = None) -> Fraction:
+def exact_number(text: str, line: int | None = None) -> Fraction:
+    """The exact value of a decimal, scientific or n/d literal.
+
+    Python refuses digit strings longer than sys.get_int_max_str_digits(),
+    and an exponent that would give the numerator or the power-of-ten
+    denominator more digits than that is refused before they are built.
+    """
+    text = text.strip()
     try:
-        return Fraction(text.strip())
+        if "e" in text or "E" in text:
+            mantissa, _, exp = text.lower().partition("e")
+            whole, _, decimals = mantissa.partition(".")
+            shift = int(exp) - sum(c.isdigit() for c in decimals)
+            digits = max(sum(c.isdigit() for c in (whole + decimals).lstrip("+-0_")), 1)
+            limit = sys.get_int_max_str_digits()  # 0 means no limit
+            if limit and max(digits + shift, 1 - shift) > limit:
+                raise OverflowError
+        return Fraction(text)
+    except OverflowError as exc:
+        raise ParseError(f"number too large to hold exactly: {text!r}", line) from exc
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"not an exact number: {text.strip()!r}", line) from exc
+        raise ParseError(f"not an exact number: {text!r}", line) from exc
+
+
+def scale_range(spec: str):
+    """Scales LO, LO + STEP, ... up to HI of an exact LO:HI:STEP range.
+
+    Checked at once (0 <= LO <= HI, STEP > 0), then produced lazily.
+    """
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise ParseError("scales must be LO:HI:STEP")
+    lo, hi, step = (exact_number(part) for part in parts)
+    if lo < 0 or step <= 0 or hi < lo:
+        raise ParseError("scales must satisfy 0 <= LO <= HI with a positive STEP")
+    return (lo + k * step for k in range((hi - lo) // step + 1))
 
 
 # --------------------------------------------------------------------------
@@ -92,7 +124,7 @@ def parse_distance_csv(text: str) -> SpaceDocument:
             raise ParseError(f"expected {n + 1} cells, found {len(cells)}", i)
         if cells[0] != header[i - 2]:
             raise ParseError(f"row label {cells[0]!r} does not match header {header[i - 2]!r}", i)
-        table.append(tuple(_fraction(c, i) for c in cells[1:]))
+        table.append(tuple(exact_number(c, i) for c in cells[1:]))
     return SpaceDocument(kind="distance", labels=tuple(header), distances=tuple(table))
 
 
@@ -217,11 +249,15 @@ def _expect(cond: bool, message: str):
 def parse_space_json(text: str) -> SpaceDocument:
     """JSON form of any document kind; floats arrive as exact Fractions."""
     try:
-        data = json.loads(text, parse_float=Fraction)
+        data = json.loads(text, parse_float=exact_number)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", exc.lineno) from exc
     except RecursionError as exc:
         raise ParseError("invalid JSON: nested too deeply") from exc
+    except ParseError:
+        raise
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ParseError(f"invalid JSON: {exc}") from exc
     _expect(isinstance(data, dict), "top level must be an object")
     kind = data.get("kind")
     _expect(kind in ("distance", "graph", "closure", "complex"),
@@ -250,7 +286,7 @@ def parse_space_json(text: str) -> SpaceDocument:
             vals = []
             for v in row:
                 if isinstance(v, str):
-                    vals.append(_fraction(v))
+                    vals.append(exact_number(v))
                 elif isinstance(v, (int, Fraction)) and not isinstance(v, bool):
                     vals.append(Fraction(v))
                 else:

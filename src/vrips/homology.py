@@ -17,10 +17,12 @@ records V kept for homology bases, and the integer fallback. Over the
 integers the loop runs while every pivot is +1 or -1; the pivot rows
 then form a unit triangular minor, so the rank is the pivot count and
 the group below has no torsion. A degree that meets any other pivot
-takes its rank and torsion from a dense Smith normal form instead.
-Cohomology reduces the transposed (coboundary) columns from the bottom
-dimension up, on purpose apart from the reducer, so that comparing it
-with homology over a field checks one computation against another.
+takes its rank and torsion from a dense Smith normal form instead. The
+public Smith form records its transforms in identity blocks bordering
+the matrix. Cohomology reduces the transposed (coboundary) columns from
+the bottom dimension up, on purpose apart from the reducer, so that
+comparing it with homology over a field checks one computation against
+another.
 
 Induced maps are computed over a field only, relative to deterministic
 homology bases. In degree k the representatives are the reduction
@@ -28,9 +30,10 @@ records (columns of V) of the d_k columns that reduce to zero and are
 not pivot rows of d_{k+1}. Together with the reduced columns of d_{k+1}
 they have distinct lowest rows, so coordinates come from
 back-substitution on those rows. Maps between the same complexes
-therefore compare as plain matrices. The long exact sequence check
-wires the inclusion, quotient, and connecting maps together and
-verifies exactness by rank counting.
+therefore compare as plain matrices. Inclusions, quotients, vertex
+maps and the connecting map of a pair (a relative cell goes to its
+signed faces) all go through one chain-map routine, and the long exact
+sequence check verifies exactness of the last three by rank counting.
 """
 
 from __future__ import annotations
@@ -160,44 +163,32 @@ class SNFResult:
     right: IntegerMatrix
 
 
-def _snf_core(a: list[list[int]], rows: int, cols: int, track: bool):
-    left = [[int(i == j) for j in range(rows)] for i in range(rows)] if track else None
-    right = [[int(i == j) for j in range(cols)] for i in range(cols)] if track else None
+def _snf_core(a: list[list[int]], rows: int, cols: int) -> list[int]:
+    """Diagonalise the top left rows x cols block of a in place.
+
+    Pivot search and elimination look at that block only, but every
+    operation acts on whole rows and columns of a, so blocks bordering
+    it record the transforms.
+    """
 
     def swap_rows(x, y):
         a[x], a[y] = a[y], a[x]
-        if track:
-            left[x], left[y] = left[y], left[x]
 
     def swap_cols(x, y):
         for row in a:
             row[x], row[y] = row[y], row[x]
-        if track:
-            for row in right:
-                row[x], row[y] = row[y], row[x]
 
     def add_row(dst, src, q):
         if q:
-            ad, asr = a[dst], a[src]
-            for k in range(cols):
-                ad[k] += q * asr[k]
-            if track:
-                ld, ls = left[dst], left[src]
-                for k in range(rows):
-                    ld[k] += q * ls[k]
+            a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
 
     def add_col(dst, src, q):
         if q:
             for row in a:
                 row[dst] += q * row[src]
-            if track:
-                for row in right:
-                    row[dst] += q * row[src]
 
     def negate_row(x):
         a[x] = [-v for v in a[x]]
-        if track:
-            left[x] = [-v for v in left[x]]
 
     size = min(rows, cols)
     t = 0
@@ -262,30 +253,30 @@ def _snf_core(a: list[list[int]], rows: int, cols: int, track: bool):
             add_row(t, offender, 1)
         t += 1
 
-    d = [a[i][i] for i in range(size)]
-    return d, left, right
+    return [a[i][i] for i in range(size)]
 
 
 def smith_normal_form(m) -> SNFResult:
-    """Smith normal form over the integers with transform tracking.
+    """Smith normal form over the integers with unimodular transforms.
 
-    Works in arbitrary precision. The transforms are built from
-    elementary operations only, so their determinants are +1 or -1.
+    Reduces the bordered matrix [[A, I], [I, 0]] in arbitrary precision:
+    row operations build left in the top right block and column
+    operations build right in the bottom left one.
     """
     mat = m if isinstance(m, IntegerMatrix) else IntegerMatrix.from_rows(m)
-    a = [list(row) for row in mat.entries]
-    d, left, right = _snf_core(a, mat.rows, mat.cols, track=True)
+    r, c = mat.rows, mat.cols
+    a = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(mat.entries)]
+    a += [[int(i == j) for j in range(c)] + [0] * r for i in range(c)]
+    d = _snf_core(a, r, c)
     return SNFResult(
         tuple(d),
-        IntegerMatrix.from_rows(left, cols=mat.rows),
-        IntegerMatrix.from_rows(right, cols=mat.cols),
+        IntegerMatrix.from_rows([row[c:] for row in a[:r]], cols=r),
+        IntegerMatrix.from_rows([row[:c] for row in a[r:]], cols=c),
     )
 
 
 def _snf_diagonal(mat: IntegerMatrix) -> list[int]:
-    a = [list(row) for row in mat.entries]
-    d, _, _ = _snf_core(a, mat.rows, mat.cols, track=False)
-    return d
+    return _snf_core([list(row) for row in mat.entries], mat.rows, mat.cols)
 
 
 # --------------------------------------------------------------------------
@@ -713,32 +704,50 @@ class InducedMapResult:
         )
 
 
-def _identity_image(k, s):
-    return 1, s
+def _identity_image(s):
+    return ((s, 1),)
 
 
 def _quotient_image(sub: SimplicialComplex):
-    return lambda k, s: (0, None) if sub.has(s) else (1, s)
+    return lambda s: () if sub.has(s) else ((s, 1),)
 
 
-def _chain_map_matrix(dom_red: _Reducer, cod_red: _Reducer, image_fn, k: int):
-    """Homology matrix of a simplexwise chain map at dimension k."""
-    db = dom_red.basis(k)
-    cb = cod_red.basis(k)
-    cod_index = {s: i for i, s in enumerate(cod_red.chains.cells(k))}
-    dom_cells = dom_red.chains.cells(k)
+def _vertex_image(assignment):
+    def image(s):
+        sign, target = chain_image(assignment, s)
+        return ((target, sign),) if sign else ()
+    return image
+
+
+def _signed_faces(s: Simplex):
+    """(face, sign) for each face of s; _Chains.columns inlines this rule."""
+    return [(s[:drop] + s[drop + 1:], -1 if drop % 2 else 1) for drop in range(len(s))]
+
+
+def _chain_map(dom: _Reducer, cod: _Reducer, image, k: int, j: int):
+    """Homology matrix H_k(dom) -> H_j(cod) of a cellwise chain map.
+
+    image(s) lists (simplex, coefficient) for one k-cell of the domain.
+    Each representative's image is summed by simplex and cleaned before
+    the lookup, so cells that cancel need not be codomain cells; every
+    cell that survives must be a degree-j basis cell of the codomain.
+    """
+    cb = cod.basis(j)
+    cod_index = {s: i for i, s in enumerate(cod.chains.cells(j))}
+    dom_cells = dom.chains.cells(k)
     cols = []
-    for rep in db.reps:
+    for rep in dom.basis(k).reps:
         w: dict = {}
-        for i, coeff in rep.items():
-            sign, target = image_fn(k, dom_cells[i])
-            if not sign:
-                continue
-            j = cod_index.get(target)
-            if j is None:
-                raise ValueError(f"chain image {target} is not a codomain basis cell")
-            w[j] = w.get(j, 0) + coeff * sign
-        cols.append(cb.coords(_clean(w, dom_red.p)))
+        for i, c in rep.items():
+            for t, x in image(dom_cells[i]):
+                w[t] = w.get(t, 0) + c * x
+        vec = {}
+        for t, x in _clean(w, dom.p).items():
+            i = cod_index.get(t)
+            if i is None:
+                raise ValueError(f"chain image {t} is not a codomain basis cell")
+            vec[i] = x
+        cols.append(cb.coords(vec))
     return _transpose(cols, cb.h)
 
 
@@ -754,14 +763,13 @@ def induced_map(f, coeffs: Coefficients, top_dim: int | None = None) -> InducedM
     p = _field_modulus(coeffs, "induced maps")
     if isinstance(f, SimplicialVertexMap):
         dom, cod = f.domain, f.codomain
-        assignment = f.assignment
-        image_fn = lambda k, s: chain_image(assignment, s)
+        image = _vertex_image(f.assignment)
     elif isinstance(f, ComplexPair):
         dom, cod = f.total, f
-        image_fn = _quotient_image(f.sub)
+        image = _quotient_image(f.sub)
     elif isinstance(f, Inclusion):
         dom, cod = f.domain, f.codomain
-        image_fn = _quotient_image(cod.sub) if isinstance(cod, ComplexPair) else _identity_image
+        image = _quotient_image(cod.sub) if isinstance(cod, ComplexPair) else _identity_image
     else:
         raise TypeError("induced_map expects a SimplicialVertexMap, a ComplexPair or an Inclusion")
     top = min(dom.reliable_top, cod.reliable_top) if top_dim is None else top_dim
@@ -769,7 +777,7 @@ def induced_map(f, coeffs: Coefficients, top_dim: int | None = None) -> InducedM
         raise ValueError("no dimension is reliably computable at this cap")
     dom_red, cod_red = _Reducer(_chains_of(dom), p), _Reducer(_chains_of(cod), p)
     # Top degree first, so every boundary is reduced once (see _Reducer).
-    mats = [_chain_map_matrix(dom_red, cod_red, image_fn, k) for k in range(top, -1, -1)]
+    mats = [_chain_map(dom_red, cod_red, image, k, k) for k in range(top, -1, -1)]
     return InducedMapResult(
         coeffs,
         tuple(reversed(mats)),
@@ -803,31 +811,6 @@ class LESReport:
         return self.exact
 
 
-def _connecting_matrix(rel_red: _Reducer, sub_red: _Reducer, total_chains: _Chains, k: int):
-    """Connecting map H_k(total, sub) -> H_{k-1}(sub): lift, bound, restrict."""
-    rb = rel_red.basis(k)
-    sb = sub_red.basis(k - 1)
-    rel_cells = rel_red.chains.cells(k)
-    total_index = {s: i for i, s in enumerate(total_chains.cells(k))}
-    lower_cells = total_chains.cells(k - 1)
-    sub_index = {s: i for i, s in enumerate(sub_red.chains.cells(k - 1))}
-    dcols = total_chains.columns(k)
-    cols = []
-    for rep in rb.reps:
-        bound: dict = {}
-        for i, c in rep.items():
-            for r, x in dcols[total_index[rel_cells[i]]].items():
-                bound[r] = bound.get(r, 0) + c * x
-        restricted = {}
-        for r, value in _clean(bound, rel_red.p).items():
-            j = sub_index.get(lower_cells[r])
-            if j is None:
-                raise ValueError("boundary of a relative cycle leaked outside the subcomplex")
-            restricted[j] = value
-        cols.append(sb.coords(restricted))
-    return _transpose(cols, sb.h)
-
-
 def check_les_exactness(p: ComplexPair, coeffs: Coefficients, top_dim: int) -> LESReport:
     """Verify exactness of the pair's long sequence by rank counting.
 
@@ -842,16 +825,17 @@ def check_les_exactness(p: ComplexPair, coeffs: Coefficients, top_dim: int) -> L
     if p.total.max_dim < top_dim + 1:
         raise ValueError("enumerate the pair to top_dim + 1 before checking exactness")
 
-    total_chains = _chains_of(p.total)
-    red_total = _Reducer(total_chains, mod)
+    red_total = _Reducer(_chains_of(p.total), mod)
     red_sub = _Reducer(_chains_of(p.sub), mod)
     red_rel = _Reducer(_chains_of(p), mod)
 
     # Top degree first, so every boundary is reduced once (see _Reducer).
     down = range(top_dim, -1, -1)
-    incl = {k: _chain_map_matrix(red_sub, red_total, _identity_image, k) for k in down}
-    quot = {k: _chain_map_matrix(red_total, red_rel, _quotient_image(p.sub), k) for k in down}
-    conn = {k: _connecting_matrix(red_rel, red_sub, total_chains, k) for k in down if k >= 1}
+    incl = {k: _chain_map(red_sub, red_total, _identity_image, k, k) for k in down}
+    quot = {k: _chain_map(red_total, red_rel, _quotient_image(p.sub), k, k) for k in down}
+    # Connecting map: lift a relative cycle, take its boundary in the
+    # total complex, and read it in the subcomplex.
+    conn = {k: _chain_map(red_rel, red_sub, _signed_faces, k, k - 1) for k in down if k >= 1}
 
     rows = []
     failures = []

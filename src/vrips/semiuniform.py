@@ -35,11 +35,10 @@ from .homology import (
 from .relations import (
     FiniteSpace,
     Relation,
-    SemiPseudometric,
     SemiUniformBase,
     check_uniform_continuity,
-    metric_relation,
     product_relation,
+    relation,
     relation_image,
     relativize,
     symmetric_part,
@@ -308,29 +307,24 @@ def interval_space(n: int) -> FiniteSpace:
     return FiniteSpace(tuple(f"t{i}" for i in range(n)))
 
 
-def interval_metric(n: int) -> SemiPseudometric:
-    """n evenly spaced points on the unit interval, distances exact."""
-    space = interval_space(n)
-    rows = tuple(
-        tuple(Fraction(abs(i - j), n - 1) for j in range(n))
-        for i in range(n)
-    )
-    return SemiPseudometric(space, rows)
-
-
 def interval_relation(n: int, r) -> Relation:
-    """Strict scale-r relation of the n-point interval.
+    """Strict scale-r relation of n evenly spaced points on the unit interval.
 
-    Consecutive points are related exactly when r exceeds the spacing
-    1/(n-1); below that the complex falls apart into components.
+    Points i and j lie |i - j|/(n-1) apart, so they are related exactly
+    when |i - j| < r (n-1): neighbours exactly when r exceeds the spacing
+    1/(n-1). Below that the complex falls apart into components.
     """
-    return metric_relation(interval_metric(n), r, mode="strict")
+    space = interval_space(n)
+    if r < 0:
+        raise ValueError("scale must be nonnegative")
+    reach = r * (n - 1)
+    return relation(space, {(i, j) for i in range(n) for j in range(n) if abs(i - j) < reach})
 
 
 def check_interval_acyclic(n: int, r, max_dim: int = 2) -> AxiomVerdict:
     """Reduced integer homology of the discretized interval must vanish."""
-    spacing = Fraction(1, n - 1) if n >= 2 else None
     rel = interval_relation(n, r)
+    spacing = Fraction(1, n - 1)
     k = vr_complex(rel, max_dim)
     res = homology(k, INTEGERS, reduced=True)
     top = k.reliable_top

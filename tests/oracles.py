@@ -26,6 +26,11 @@ def brute_scale_pairs(dist, q, mode: str) -> frozenset:
     return frozenset((i, j) for i in range(n) for j in range(n) if i != j and dist[i][j] <= q)
 
 
+def interval_table(n: int) -> tuple:
+    """Distances of n evenly spaced points on the unit interval."""
+    return tuple(tuple(Fraction(abs(i - j), n - 1) for j in range(n)) for i in range(n))
+
+
 def brute_values(dist) -> tuple:
     """Sorted distinct off-diagonal distances, by a set and one sort."""
     n = len(dist)

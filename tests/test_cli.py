@@ -1,9 +1,12 @@
 """End-to-end runs of the command line front end."""
 
+import importlib.util
 import io
 import json
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -57,6 +60,21 @@ def cycle_edges(tmp_path):
 def arcs_json(tmp_path):
     path = tmp_path / "arcs.json"
     path.write_text(CLOSURE_JSON)
+    return str(path)
+
+
+@pytest.fixture
+def huge_csv(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text(",a,b\na,0,1e10000000\nb,1e10000000,0\n")
+    return str(path)
+
+
+@pytest.fixture
+def huge_json(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"kind": "distance", "labels": ["a", "b"],'
+                    ' "distances": [[0, 1e10000000], [1e10000000, 0]]}')
     return str(path)
 
 
@@ -225,14 +243,48 @@ def test_verify_reports_failures(monkeypatch):
         ["graph", "CYCLE", "--max-dim", "0"],
         ["closure", "ARCS", "--max-dim", "0"],
         ["sweep", "SQUARE", "--scales", "1/2:1:1/2", "--max-dim", "0"],
+        # Exponents whose digits alone would take seconds to produce.
+        ["homology", "HUGE_CSV", "--scale", "1"],
+        ["homology", "HUGE_JSON", "--scale", "1"],
+        ["homology", "SQUARE", "--scale", "1e10000000"],
+        ["sweep", "SQUARE", "--scales", "0:1e10000000:1"],
     ],
 )
-def test_bad_input_exits_two(argv, square_csv, cycle_edges, arcs_json):
-    files = {"SQUARE": square_csv, "CYCLE": cycle_edges, "ARCS": arcs_json}
+def test_bad_input_exits_two(argv, square_csv, cycle_edges, arcs_json, huge_csv, huge_json):
+    files = {"SQUARE": square_csv, "CYCLE": cycle_edges, "ARCS": arcs_json,
+             "HUGE_CSV": huge_csv, "HUGE_JSON": huge_json}
+    start = time.perf_counter()
     code, out, err = run([files.get(a, a) for a in argv])
+    assert time.perf_counter() - start < 1
     assert code == BAD_INPUT
     assert out == ""
-    assert err
+    assert err.startswith("error:") or err.startswith("usage:")
+    assert "Traceback" not in err
+
+
+def _script(name):
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("circle_recovery", ["--points", "8", "--scales=-3:0:1"]),
+        ("circle_recovery", ["--points", "8", "--scales=1:0:1"]),
+        ("circle_recovery", ["--points", "8", "--scales=0:1e10000000:1"]),
+        ("axiom_report", ["--max-dim", "0", "--seeds", "1", "--trials", "1"]),
+        ("axiom_report", ["--seeds", "0"]),
+    ],
+)
+def test_scripts_exit_two_on_bad_arguments(name, argv, capsys):
+    assert _script(name).main(argv) == BAD_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_cached_parser_answers_like_a_fresh_one(monkeypatch, square_csv, cycle_edges):

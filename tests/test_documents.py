@@ -1,6 +1,7 @@
 """Parsing and serialization of the file formats the CLI reads and writes."""
 
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from vrips.documents import (
     document_to_complex,
     document_to_metric,
     document_to_relation,
+    exact_number,
     guess_format,
     parse_distance_csv,
     parse_document,
@@ -189,6 +191,22 @@ def test_json_complex_round_trips():
 def test_json_validation_rejects(text):
     with pytest.raises(ParseError):
         parse_space_json(text)
+
+
+def test_exponents_stop_at_the_interpreter_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert exact_number(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert exact_number(f"1e-{limit - 1}") == Fraction(1, 10 ** (limit - 1))
+    assert exact_number(f"0.5e{limit}") == 5 * 10 ** (limit - 1)
+    for text in (f"1e{limit}", f"1e-{limit}", f"25e{limit - 1}", "1e10000000", "0e10000000"):
+        with pytest.raises(ParseError, match="too large"):
+            exact_number(text)
+    # Plain digit strings already meet the same limit inside Python.
+    with pytest.raises(ParseError):
+        exact_number("1" + "0" * limit)
+    with pytest.raises(ParseError):
+        parse_space_json('{"kind": "graph", "labels": ["a"], "edges": [[0, 1%s]]}'
+                         % ("0" * limit))
 
 
 def test_json_syntax_errors_carry_a_line():

@@ -163,16 +163,29 @@ def test_les_input_validation(cycle4):
         v.check_les_exactness(pair, v.RATIONALS, top_dim=-1)
 
 
-@given(symmetric_relations(min_points=2, max_points=6), st.data())
+@given(symmetric_relations(min_points=2, max_points=6),
+       st.sampled_from([v.RATIONALS, v.prime_field(2), v.prime_field(3)]), st.data())
 @settings(max_examples=40, deadline=None)
-def test_les_exact_on_random_pairs(rel, data):
+def test_les_exact_on_random_pairs(rel, coeffs, data):
     pts = data.draw(
         st.frozensets(st.integers(0, rel.space.size - 1), min_size=1),
         label="subset",
     )
     pair = v.pair_complex(rel, pts, 3)
-    report = v.check_les_exactness(pair, v.RATIONALS, top_dim=2)
+    report = v.check_les_exactness(pair, coeffs, top_dim=2)
     assert report.exact, report.failures
+
+
+def test_les_square_relative_to_its_rim():
+    # Each triangle's boundary contains the diagonal (0, 2), which is not in
+    # the rim; it cancels in the boundary of the relative 2-cycle.
+    space = space_of_size(4)
+    square = v.explicit_complex(space, [(0, 1, 2), (0, 2, 3)], max_dim=3)
+    rim = v.explicit_complex(space, [(0, 1), (1, 2), (2, 3), (0, 3)], max_dim=3)
+    report = v.check_les_exactness(v.ComplexPair(square, rim), v.RATIONALS, top_dim=2)
+    assert report.exact, report.failures
+    row = report.rows[2]
+    assert (row.h_rel, row.rank_connecting) == (1, 1)
 
 
 def test_inclusion_of_a_complex(cycle4):

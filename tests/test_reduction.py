@@ -186,3 +186,18 @@ def test_generators_reduce_each_degree_once(monkeypatch):
         nonempty = [c for c in calls if c]
         assert all(c in degrees for c in nonempty)
         assert all(a != b for i, a in enumerate(nonempty) for b in nonempty[i + 1:])
+
+
+@given(explicit_complexes(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_connecting_faces_follow_the_boundary_sign_rule(k, data):
+    """The connecting map's signed faces, restricted to the lower cells,
+    are the columns of d_k: the two sign rules live apart for speed."""
+    subset = data.draw(st.none() | st.frozensets(st.integers(0, k.space.size - 1), min_size=1))
+    obj = k if subset is None else v.ComplexPair(k, v.full_subcomplex(k, subset))
+    chains = hom._chains_of(obj)
+    for d in range(1, chains.top + 1):
+        index = {s: i for i, s in enumerate(chains.cells(d - 1))}
+        faces = [{index[f]: x for f, x in hom._signed_faces(s) if f in index}
+                 for s in chains.cells(d)]
+        assert faces == chains.columns(d)

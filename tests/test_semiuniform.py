@@ -11,6 +11,7 @@ from vrips.relations import full_relation, metric_relation, relation, space_of_s
 import vrips.semiuniform as su
 from vrips.semiuniform import NoMinimumError, interval_space
 from conftest import circle_metric, metrics
+from oracles import brute_scale_pairs, interval_table
 
 
 HALF = Fraction(1, 2)
@@ -153,6 +154,26 @@ def test_interval_detects_disconnection():
 def test_interval_space_needs_two_points():
     with pytest.raises(ValueError):
         interval_space(1)
+    with pytest.raises(ValueError):
+        su.interval_relation(3, -HALF)
+
+
+@st.composite
+def interval_scales(draw):
+    n = draw(st.integers(2, 9))
+    k = Fraction(draw(st.integers(0, n)), n - 1)
+    scales = [Fraction(0), k, k - Fraction(1, 100), k + Fraction(1, 100), Fraction(1), Fraction(2)]
+    return n, draw(st.sampled_from([r for r in scales if r >= 0]))
+
+
+@given(interval_scales())
+@settings(max_examples=120, deadline=None)
+def test_interval_relation_matches_the_distance_table(case):
+    n, r = case
+    rel = su.interval_relation(n, r)
+    diagonal = {(i, i) for i in range(n)}
+    assert rel.pairs == brute_scale_pairs(interval_table(n), r, "strict") | diagonal
+    assert rel.space == interval_space(n)
 
 
 def test_cylinder_ends_agree_on_the_cycle(cycle4):
