@@ -41,6 +41,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     try:
+        if args.max_dim < 1:
+            raise ValueError("--max-dim must be at least 1")
         metrics = {n: chord_metric(n) for n in args.points}
         scales = scale_range(args.scales)
     except ValueError as exc:

@@ -6,6 +6,12 @@ TSV), verify (seeded axiom suites). Machine-readable output is a JSON
 result document on stdout; sweeps emit TSV. Exit codes: 0 success,
 1 a verification failed, 2 bad input.
 
+One routine reads, checks and echoes the input of every document
+command: it reads and parses the file, refuses a document of the wrong
+kind, parses --coeffs, and writes the JSON envelope with the shared
+parameters. Each command only computes; sweep shares the reading and
+the coefficients and writes its own TSV.
+
 Reported betti numbers stop below the enumeration cap: with a cap of
 max_dim, dimensions 0 through max_dim - 1 are exact no matter what got
 truncated at the cap, so that is what the reports contain.
@@ -52,121 +58,83 @@ def _parse_coeffs(text: str) -> Coefficients:
     raise ValueError(f"unknown coefficients {text!r}: use Z, Q, or F<prime>")
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _load(args, kinds: tuple[str, ...], wrong_kind: str):
+    """Read and parse the input file, refuse other kinds, parse --coeffs."""
+    with open(args.input, "r", encoding="utf-8") as fh:
+        doc = parse_document(fh.read(), args.format or guess_format(args.input))
+    if doc.kind not in kinds:
+        raise ValueError(wrong_kind)
+    return doc, _parse_coeffs(args.coeffs)
 
 
-def _load_document(path: str, fmt: str | None):
-    return parse_document(_read(path), fmt or guess_format(path))
+def _document_command(command: str, kinds: tuple[str, ...], wrong_kind: str):
+    """Turn compute(args, doc, coeffs, subset) into a JSON document command.
+
+    compute gets the loaded document, the coefficients and the sorted
+    --subset (None without one). It returns its own parameters, the
+    homology to report below the cap, and any further results.
+    """
+    def wrap(compute):
+        def run(args, out) -> int:
+            doc, coeffs = _load(args, kinds, wrong_kind)
+            subset = sorted(args.subset) if getattr(args, "subset", None) else None
+            own, result, extra = compute(args, doc, coeffs, subset)
+            params = {"input": args.input, "max_dim": args.max_dim,
+                      "coefficients": args.coeffs, "reduced": args.reduced}
+            if subset is not None:
+                params["subset"] = subset
+            results = {"betti": list(result.betti[: args.max_dim]),
+                       "torsion": [list(t) for t in result.torsion[: args.max_dim]], **extra}
+            doc_out = result_document(command, {**params, **own}, results)
+            print(serialize_result(doc_out), end="", file=out)
+            return OK
+        return run
+    return wrap
 
 
-def _betti_payload(result, max_dim: int) -> dict:
-    return {
-        "betti": list(result.betti[:max_dim]),
-        "torsion": [list(t) for t in result.torsion[:max_dim]],
-    }
-
-
-def _emit(out, command: str, parameters: dict, results: dict):
-    print(serialize_result(result_document(command, parameters, results)), end="", file=out)
-
-
-def _cmd_homology(args, out) -> int:
-    doc = _load_document(args.input, args.format)
-    coeffs = _parse_coeffs(args.coeffs)
-    params = {
-        "input": args.input,
-        "max_dim": args.max_dim,
-        "coefficients": args.coeffs,
-        "reduced": args.reduced,
-    }
-    subset = sorted(args.subset) if args.subset else None
-    if subset is not None:
-        params["subset"] = subset
-
-    if doc.kind == "distance":
-        d = document_to_metric(doc)
-        if args.scale is None:
-            raise ValueError("a distance table needs --scale")
-        q = exact_number(args.scale)
-        deltas = [exact_number(t) for t in args.delta.split(",")] if args.delta else [closing_offset(d, q)]
-        params["scale"] = q
-        params["deltas"] = deltas
-        base = scale_base(d, q, deltas)
-        report = limit_homology(base, subset=subset, coeffs=coeffs,
-                                max_dim=args.max_dim, reduced=args.reduced)
-        results = _betti_payload(report.result, args.max_dim)
-        results["members"] = report.member_count
-        results["stabilized"] = all(m.agrees for m in report.stabilization)
-        if report.cohomology_result is not None:
-            results["cohomology_betti"] = list(report.cohomology_result.betti[: args.max_dim])
-    elif doc.kind == "complex":
+@_document_command("homology", ("distance", "complex"),
+                   "homology reads a distance table or a complex document; "
+                   "use the graph or closure command instead")
+def _cmd_homology(args, doc, coeffs, subset):
+    if doc.kind == "complex":
         if args.scale is not None or args.delta is not None:
             raise ValueError("--scale and --delta apply to distance tables, not complex documents")
         k = document_to_complex(doc, max_dim=args.max_dim)
         obj = k if subset is None else ComplexPair(k, full_subcomplex(k, subset))
-        result = homology(obj, coeffs, reduced=args.reduced)
-        results = _betti_payload(result, args.max_dim)
-    else:
-        raise ValueError("homology reads a distance table or a complex document; "
-                         "use the graph or closure command instead")
-    _emit(out, "homology", params, results)
-    return OK
+        return {}, homology(obj, coeffs, reduced=args.reduced), {}
+    d = document_to_metric(doc)
+    if args.scale is None:
+        raise ValueError("a distance table needs --scale")
+    q = exact_number(args.scale)
+    deltas = [exact_number(t) for t in args.delta.split(",")] if args.delta else [closing_offset(d, q)]
+    report = limit_homology(scale_base(d, q, deltas), subset=subset, coeffs=coeffs,
+                            max_dim=args.max_dim, reduced=args.reduced)
+    extra = {"members": report.member_count,
+             "stabilized": all(m.agrees for m in report.stabilization)}
+    if report.cohomology_result is not None:
+        extra["cohomology_betti"] = list(report.cohomology_result.betti[: args.max_dim])
+    return {"scale": q, "deltas": deltas}, report.result, extra
 
 
-def _cmd_graph(args, out) -> int:
-    doc = _load_document(args.input, args.format)
-    if doc.kind != "graph":
-        raise ValueError("the graph command needs an edge list or graph document")
+@_document_command("graph", ("graph",), "the graph command needs an edge list or graph document")
+def _cmd_graph(args, doc, coeffs, subset):
     rel = document_to_relation(doc)
-    coeffs = _parse_coeffs(args.coeffs)
-    params = {
-        "input": args.input,
-        "max_dim": args.max_dim,
-        "coefficients": args.coeffs,
-        "reduced": args.reduced,
-        "directed": doc.directed,
-    }
-    subset = sorted(args.subset) if args.subset else None
-    if subset is not None:
-        params["subset"] = subset
     # For a symmetric relation this is the limit over its one-member base.
     obj = vr_complex(rel, args.max_dim) if subset is None else pair_complex(rel, subset, args.max_dim)
-    result = homology(obj, coeffs, reduced=args.reduced)
-    _emit(out, "graph", params, _betti_payload(result, args.max_dim))
-    return OK
+    return {"directed": doc.directed}, homology(obj, coeffs, reduced=args.reduced), {}
 
 
-def _cmd_closure(args, out) -> int:
-    doc = _load_document(args.input, args.format)
-    if doc.kind != "closure":
-        raise ValueError("the closure command needs a closure document")
-    c = document_to_closure(doc)
-    cover = document_cover(doc)
-    coeffs = _parse_coeffs(args.coeffs)
-    if args.relation == "interior":
-        rel = ii_relation(c, cover)
-    else:
-        rel = vietoris_relation(cover)
+@_document_command("closure", ("closure",), "the closure command needs a closure document")
+def _cmd_closure(args, doc, coeffs, subset):
+    c, cover = document_to_closure(doc), document_cover(doc)
+    rel = ii_relation(c, cover) if args.relation == "interior" else vietoris_relation(cover)
     result = homology(vr_complex(rel, args.max_dim), coeffs, reduced=args.reduced)
-    params = {
-        "input": args.input,
-        "max_dim": args.max_dim,
-        "coefficients": args.coeffs,
-        "reduced": args.reduced,
-        "relation": args.relation,
-    }
-    _emit(out, "closure", params, _betti_payload(result, args.max_dim))
-    return OK
+    return {"relation": args.relation}, result, {}
 
 
 def _cmd_sweep(args, out) -> int:
-    doc = _load_document(args.input, args.format)
-    if doc.kind != "distance":
-        raise ValueError("sweep needs a distance table")
+    doc, coeffs = _load(args, ("distance",), "sweep needs a distance table")
     d = document_to_metric(doc)
-    coeffs = _parse_coeffs(args.coeffs)
     scales = scale_range(args.scales)
     print("scale\t" + "\t".join(f"betti{k}" for k in range(args.max_dim)), file=out)
     for q in scales:

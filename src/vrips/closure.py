@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .relations import FiniteSpace, Relation, SemiPseudometric, relation
+from .relations import FiniteSpace, Relation, SemiPseudometric, metric_relation, relation
 
 
 @dataclass(frozen=True)
@@ -129,14 +129,14 @@ def cover_refines(coarse: Cover, fine: Cover) -> bool:
 
 
 def metric_closure_space(d: SemiPseudometric, r) -> AdditiveClosure:
-    """Closure that thickens each point by the closed r-ball around it."""
+    """Closure that thickens each point by the closed r-ball around it,
+    which is the point's row of the closed scale-r relation."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    n = d.space.size
-    nbhd = tuple(
-        frozenset(y for y in range(n) if d.dist[x][y] <= r) for x in range(n)
-    )
-    return AdditiveClosure(d.space, nbhd)
+    balls = [set() for _ in range(d.space.size)]
+    for x, y in metric_relation(d, r, "closed").pairs:
+        balls[x].add(y)
+    return AdditiveClosure(d.space, tuple(balls))
 
 
 def graph_closure_space(edges, space: FiniteSpace) -> AdditiveClosure:

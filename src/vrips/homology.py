@@ -467,13 +467,6 @@ class HomologyResult:
     generators: tuple | None = None
     truncated_dim: int | None = None
 
-    def pretty(self) -> str:
-        parts = []
-        for k, b in enumerate(self.betti):
-            t = f" + torsion{list(self.torsion[k])}" if self.torsion[k] else ""
-            parts.append(f"H{k}: rank {b}{t}")
-        return "; ".join(parts)
-
 
 def _field_value(x, p: int | None):
     """A field element as reported: residues stay ints, rationals are Fractions."""

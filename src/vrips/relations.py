@@ -420,17 +420,13 @@ def check_uniform_continuity(f, bx: SemiUniformBase, by: SemiUniformBase) -> Con
 def check_pq_continuity(f, dx: SemiPseudometric, dy: SemiPseudometric, p, q) -> bool:
     """Finite-space scale continuity: every pair within p lands within q.
 
-    On finite spaces the epsilon-delta definition collapses to this scan,
-    because below the smallest positive gap of the distance values the
-    strict relations at p + delta and q + epsilon stabilize to the closed
-    relations at p and q.
+    On finite spaces the epsilon-delta definition collapses to this
+    check on the closed relations at p and q, because below the smallest
+    positive gap of the distance values the strict relations at
+    p + delta and q + epsilon stabilize to them.
     """
     if p < 0 or q < 0:
         raise ValueError("scales must be nonnegative")
     fm = _check_point_map(f, dx.space, dy.space)
-    n = dx.space.size
-    for i in range(n):
-        for j in range(n):
-            if dx.dist[i][j] <= p and dy.dist[fm[i]][fm[j]] > q:
-                return False
-    return True
+    near = metric_relation(dy, q, "closed").pairs
+    return all((fm[i], fm[j]) in near for i, j in metric_relation(dx, p, "closed").pairs)

@@ -104,6 +104,19 @@ def _minimum_or_raise(base: SemiUniformBase) -> tuple[int, Relation]:
     return base.members.index(m), m
 
 
+def _through(res: HomologyResult, top: int) -> tuple[tuple, tuple]:
+    """Betti numbers and torsion of res in degrees 0 through top."""
+    return res.betti[: top + 1], res.torsion[: top + 1]
+
+
+def _check_comparison(what: str, coeffs: Coefficients, max_dim: int):
+    """Guards of a check that compares induced maps below the cap."""
+    if not coeffs.is_field:
+        raise ValueError(f"{what} comparison needs field coefficients")
+    if max_dim < 1:
+        raise ValueError("max_dim must be at least 1 to compare any dimension")
+
+
 def _object_at(rel: Relation, subset, max_dim: int):
     if subset is None:
         return vr_complex(rel, max_dim)
@@ -125,10 +138,8 @@ def _inclusion_agrees(dom_obj, dom_result, u_rel: Relation, subset, coeffs: Coef
     if top < 0:
         return True, ()
     if not coeffs.is_field:
-        b = homology(cod_obj, coeffs)
-        agrees = (dom_result.betti[: top + 1] == b.betti[: top + 1]
-                  and dom_result.torsion[: top + 1] == b.torsion[: top + 1])
-        return agrees, b.betti[: top + 1]
+        low = _through(homology(cod_obj, coeffs), top)
+        return _through(dom_result, top) == low, low[0]
     m = induced_map(Inclusion(dom_obj, cod_obj), coeffs, top_dim=top)
     return all(m.is_isomorphism_at(k) for k in range(top + 1)), m.codomain_ranks
 
@@ -209,41 +220,33 @@ def verify_dimension(coeffs: Coefficients = INTEGERS, max_dim: int = 2) -> Axiom
 # excision
 
 
+def _excision_sets(base: SemiUniformBase, a, bset) -> tuple[frozenset, frozenset]:
+    """The subset A and the excised set B as point sets, B inside A."""
+    a = base.space.check_points(a)
+    b = base.space.check_points(bset)
+    if not b <= a:
+        raise ValueError("the excised set must sit inside the subset")
+    return a, b
+
+
 def _excision_witness_index(base: SemiUniformBase, a: frozenset, b: frozenset) -> int | None:
     """Index of a member W with U[B] inside A for every member U within W."""
     for w_idx, w in enumerate(base.members):
-        ok = True
-        for u in base.members:
-            if u.pairs <= w.pairs and not relation_image(u, b) <= a:
-                ok = False
-                break
-        if ok:
+        if all(relation_image(u, b) <= a for u in base.members if u.pairs <= w.pairs):
             return w_idx
     return None
 
 
 def check_excision_hypothesis(base: SemiUniformBase, a, bset) -> AxiomVerdict:
     """Is there a member under which B never reaches outside A?"""
-    a = base.space.check_points(a)
-    b = base.space.check_points(bset)
-    if not b <= a:
-        raise ValueError("the excised set must sit inside the subset")
-    idx = _excision_witness_index(base, a, b)
-    if idx is not None:
-        return AxiomVerdict(
-            "excision-hypothesis",
-            f"A={sorted(a)}, B={sorted(b)}",
-            True,
-            "",
-        )
-    _, m = _minimum_or_raise(base)
-    leak = sorted(relation_image(m, b) - a)
-    return AxiomVerdict(
-        "excision-hypothesis",
-        f"A={sorted(a)}, B={sorted(b)}",
-        False,
-        f"even the smallest member reaches {leak} from B outside A",
-    )
+    a, b = _excision_sets(base, a, bset)
+    held = _excision_witness_index(base, a, b) is not None
+    witness = ""
+    if not held:
+        _, m = _minimum_or_raise(base)
+        leak = sorted(relation_image(m, b) - a)
+        witness = f"even the smallest member reaches {leak} from B outside A"
+    return AxiomVerdict("excision-hypothesis", f"A={sorted(a)}, B={sorted(b)}", held, witness)
 
 
 def verify_excision(base: SemiUniformBase, a, bset, coeffs: Coefficients = INTEGERS,
@@ -256,10 +259,7 @@ def verify_excision(base: SemiUniformBase, a, bset, coeffs: Coefficients = INTEG
     covers betti numbers and torsion on the reliably computed range.
     Raises when the hypothesis fails; check it first to get a verdict.
     """
-    a = base.space.check_points(a)
-    b = base.space.check_points(bset)
-    if not b <= a:
-        raise ValueError("the excised set must sit inside the subset")
+    a, b = _excision_sets(base, a, bset)
     if not a:
         raise ValueError("the subset of the pair must be nonempty")
     rest = sorted(set(base.space.points()) - b)
@@ -285,15 +285,10 @@ def verify_excision(base: SemiUniformBase, a, bset, coeffs: Coefficients = INTEG
         else:
             small = vr_complex(s_small, max_dim)
         top = min(big.reliable_top, small.reliable_top)
-        hb = homology(big, coeffs)
-        hs = homology(small, coeffs)
-        if (hb.betti[: top + 1] != hs.betti[: top + 1]
-                or hb.torsion[: top + 1] != hs.torsion[: top + 1]):
-            problems.append(
-                f"member {u_idx}: pair gives betti {hb.betti[: top + 1]} "
-                f"torsion {hb.torsion[: top + 1]}, cut space gives {hs.betti[: top + 1]} "
-                f"torsion {hs.torsion[: top + 1]}"
-            )
+        (bb, tb), (bs, ts) = (_through(homology(c, coeffs), top) for c in (big, small))
+        if (bb, tb) != (bs, ts):
+            problems.append(f"member {u_idx}: pair gives betti {bb} torsion {tb}, "
+                            f"cut space gives {bs} torsion {ts}")
     return AxiomVerdict("excision", instance, not problems, "; ".join(problems))
 
 
@@ -326,13 +321,12 @@ def check_interval_acyclic(n: int, r, max_dim: int = 2) -> AxiomVerdict:
     rel = interval_relation(n, r)
     spacing = Fraction(1, n - 1)
     k = vr_complex(rel, max_dim)
-    res = homology(k, INTEGERS, reduced=True)
-    top = k.reliable_top
-    ok = not any(res.betti[: top + 1]) and not any(res.torsion[: top + 1])
+    betti, torsion = _through(homology(k, INTEGERS, reduced=True), k.reliable_top)
+    ok = not any(betti) and not any(torsion)
     witness = ""
     if not ok:
         hyp = "holds" if r > spacing else "FAILS"
-        witness = (f"reduced betti {res.betti[: top + 1]}, torsion {res.torsion[: top + 1]}; "
+        witness = (f"reduced betti {betti}, torsion {torsion}; "
                    f"spacing hypothesis r > {spacing} {hyp}")
     return AxiomVerdict("interval-acyclic", f"n={n}, r={r}", ok, witness)
 
@@ -351,10 +345,7 @@ def verify_homotopy_cylinder(u: Relation, n: int, r, coeffs: Coefficients,
     cylinder over each maximal simplex must have vanishing reduced
     integer homology, which is what makes the end maps interchangeable.
     """
-    if not coeffs.is_field:
-        raise ValueError("cylinder comparison needs field coefficients")
-    if max_dim < 1:
-        raise ValueError("max_dim must be at least 1 to compare any dimension")
+    _check_comparison("cylinder", coeffs, max_dim)
     ivl = interval_relation(n, r)
     cyl = product_relation(u, ivl)
     kx = vr_complex(u, max_dim)
@@ -372,12 +363,9 @@ def verify_homotopy_cylinder(u: Relation, n: int, r, coeffs: Coefficients,
     for s in kx.maximal_simplices():
         block = sorted(v for x in s for v in _cylinder_vertices(x, n))
         piece = full_subcomplex(kc, block)
-        res = homology(piece, INTEGERS, reduced=True)
-        top = piece.reliable_top
-        if any(res.betti[: top + 1]) or any(res.torsion[: top + 1]):
-            problems.append(
-                f"cylinder over simplex {s} has reduced betti {res.betti[: top + 1]}"
-            )
+        betti, torsion = _through(homology(piece, INTEGERS, reduced=True), piece.reliable_top)
+        if any(betti) or any(torsion):
+            problems.append(f"cylinder over simplex {s} has reduced betti {betti}")
             break
     return AxiomVerdict(
         "homotopy-cylinder",
@@ -400,14 +388,11 @@ def verify_dowker(cover: Cover, coeffs: Coefficients = INTEGERS, max_dim: int = 
     """
     kw = cover_complex(cover, max_dim)
     kn = nerve_of_cover(cover, max_dim)
-    hw = homology(kw, coeffs)
-    hn = homology(kn, coeffs)
-    cut = max_dim
-    ok = (hw.betti[:cut] == hn.betti[:cut] and hw.torsion[:cut] == hn.torsion[:cut])
+    (bw, tw), (bn, tn) = (_through(homology(k, coeffs), max_dim - 1) for k in (kw, kn))
+    ok = (bw, tw) == (bn, tn)
     witness = ""
     if not ok:
-        witness = (f"witness complex betti {hw.betti[:cut]} torsion {hw.torsion[:cut]}, "
-                   f"nerve betti {hn.betti[:cut]} torsion {hn.torsion[:cut]}")
+        witness = f"witness complex betti {bw} torsion {tw}, nerve betti {bn} torsion {tn}"
     return AxiomVerdict(
         "dowker-duality",
         f"{len(cover.sets)} sets over {coeffs.describe()}",
@@ -427,10 +412,7 @@ def verify_functoriality(f, g, bx: SemiUniformBase, by: SemiUniformBase,
     the individual induced maps, and checks that the identity on X
     induces identity matrices, all through dimension max_dim - 1.
     """
-    if not coeffs.is_field:
-        raise ValueError("functoriality comparison needs field coefficients")
-    if max_dim < 1:
-        raise ValueError("max_dim must be at least 1 to compare any dimension")
+    _check_comparison("functoriality", coeffs, max_dim)
     cf = check_uniform_continuity(f, bx, by)
     if not cf:
         raise ValueError("f is not uniformly continuous against the given bases")

@@ -40,9 +40,17 @@ MAX_POINTS = 7  # largest random space a suite draws
 
 @dataclass(frozen=True)
 class SuiteConfig:
+    """Seed, random trials per suite (at least 1) and enumeration cap (at least 1)."""
+
     seed: int = 0
     trials: int = 20
     max_dim: int = 2
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if self.max_dim < 1:
+            raise ValueError("max_dim must be at least 1 to compare any dimension")
 
 
 def _random_symmetric_relation(rng: random.Random, n: int, density: float = 0.4) -> Relation:

@@ -5,10 +5,10 @@ cliques, nerves and witness complexes come from subset scanning instead
 of incremental expansion or face closure, maximal simplices from a
 superset scan, ranks from a plain fraction elimination written here,
 determinants from Bareiss, and invariant factors from determinantal
-divisors. Scale
-relations and distinct distance values come from comparing every entry
-of a table instead of bisecting its sorted pairs. Slow on purpose; only
-ever applied to small instances.
+divisors. Scale relations, closed balls, scale continuity and distinct
+distance values come from comparing every entry of a table instead of
+bisecting its sorted pairs. Slow on purpose; only ever applied to small
+instances.
 """
 
 from __future__ import annotations
@@ -24,6 +24,18 @@ def brute_scale_pairs(dist, q, mode: str) -> frozenset:
     if mode == "strict":
         return frozenset((i, j) for i in range(n) for j in range(n) if i != j and dist[i][j] < q)
     return frozenset((i, j) for i in range(n) for j in range(n) if i != j and dist[i][j] <= q)
+
+
+def brute_closed_balls(dist, r) -> tuple:
+    """For each point x, the points y with d(x, y) <= r."""
+    n = len(dist)
+    return tuple(frozenset(y for y in range(n) if dist[x][y] <= r) for x in range(n))
+
+
+def brute_pq_continuous(f, dx, dy, p, q) -> bool:
+    """Every pair within p in dx maps to a pair within q in dy."""
+    n = len(dx)
+    return all(dy[f[i]][f[j]] <= q for i in range(n) for j in range(n) if dx[i][j] <= p)
 
 
 def interval_table(n: int) -> tuple:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import vrips as v
 import vrips.cli
-from conftest import any_relations
+from conftest import any_relations, metrics
 from vrips.cli import BAD_INPUT, FAILED, OK, run_command
 from vrips.documents import parse_result, results_equal
 from vrips.relations import is_symmetric
@@ -248,6 +248,8 @@ def test_verify_reports_failures(monkeypatch):
         ["homology", "HUGE_JSON", "--scale", "1"],
         ["homology", "SQUARE", "--scale", "1e10000000"],
         ["sweep", "SQUARE", "--scales", "0:1e10000000:1"],
+        ["verify", "--trials", "-3"],
+        ["verify", "--suite", "excision", "--trials", "0"],
     ],
 )
 def test_bad_input_exits_two(argv, square_csv, cycle_edges, arcs_json, huge_csv, huge_json):
@@ -278,6 +280,8 @@ def _script(name):
         ("circle_recovery", ["--points", "8", "--scales=0:1e10000000:1"]),
         ("axiom_report", ["--max-dim", "0", "--seeds", "1", "--trials", "1"]),
         ("axiom_report", ["--seeds", "0"]),
+        ("axiom_report", ["--seeds", "1", "--suite", "excision", "--trials", "-3"]),
+        ("circle_recovery", ["--points", "8", "--scales=0:1:1", "--max-dim", "0"]),
     ],
 )
 def test_scripts_exit_two_on_bad_arguments(name, argv, capsys):
@@ -366,3 +370,116 @@ def test_deeply_nested_json_exits_two(tmp_path):
     assert code == BAD_INPUT
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# Command-line fuzzing: small documents, well formed or broken, through every
+# document command. Whatever the input, the answer is a result or one refusal.
+
+_CELLS = st.sampled_from(["0", "1", "2", "1/2", "0.5", "3e-1", "-1", "x", "", "1/0", "nan"])
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.sampled_from([0.5, "a", "1/2"]),
+    lambda inner: st.lists(inner, max_size=4), max_leaves=12)
+
+
+@st.composite
+def _csv_texts(draw):
+    if draw(st.booleans()):
+        rows = [[str(x) for x in row] for row in draw(metrics(min_points=1, max_points=5)).dist]
+    else:
+        n = draw(st.integers(0, 4))
+        rows = [[draw(_CELLS) for _ in range(n)] for _ in range(draw(st.integers(0, 4)))]
+    header = [f"p{i}" for i in range(len(rows[0]) if rows else 0)]
+    labels = list(header)
+    if labels and draw(st.integers(0, 9)) == 0:
+        labels[-1] = "zz"  # one row label that differs from the header
+    lines = ["," + ",".join(header)]
+    lines += [",".join([lab] + row) for lab, row in zip(labels, rows)]
+    return "\n".join(lines) + "\n"
+
+
+def _edge_texts():
+    line = st.sampled_from(["a b", "b c", "c a", "a -> b", "c", "# note", "a b c", "->", "a ->",
+                            ""])
+    return st.lists(line, max_size=6).map("\n".join)
+
+
+@st.composite
+def _json_texts(draw):
+    """A document of each kind, mostly well formed; some are corrupted or not JSON."""
+    roll = draw(st.integers(0, 9))
+    if roll == 0:
+        return None, draw(st.sampled_from(["{", "[]", "null", '{"kind": 3}', "", "\u00ff"]))
+    n = draw(st.integers(1, 4))
+    point = st.integers(0, n - 1) if roll > 2 else st.integers(-1, n)
+    points = st.lists(point, min_size=1, max_size=3)
+    kind = draw(st.sampled_from(["distance", "graph", "closure", "complex"]))
+    doc = {"kind": kind, "labels": [f"p{i}" for i in range(n)]}
+    if kind == "distance":
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = draw(st.sampled_from([1, 2, 3, 0.5, "1/2"]))
+        doc["distances"] = rows
+    elif kind == "graph":
+        doc["edges"] = draw(st.lists(st.lists(point, min_size=2, max_size=2), max_size=5))
+        doc["directed"] = draw(st.booleans())
+    elif kind == "closure":
+        doc["neighborhoods"] = [sorted({x} | set(draw(points))) for x in range(n)]
+        if draw(st.integers(0, 4)):
+            doc["cover"] = draw(st.lists(points, min_size=1, max_size=3))
+    else:
+        doc["simplices"] = draw(st.lists(points, max_size=4))
+    if roll in (1, 2):  # corrupt one field
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(_JUNK)
+    return kind, json.dumps(doc)
+
+
+_DOCUMENTS = st.one_of(
+    st.tuples(st.just("doc.csv"), st.just("distance"), _csv_texts()),
+    st.tuples(st.just("doc.txt"), st.just("graph"), _edge_texts()),
+    _json_texts().map(lambda kind_text: ("doc.json", *kind_text)),
+)
+_COMMANDS = ["homology", "graph", "closure", "sweep"]
+_READERS = {"distance": ["homology", "sweep"], "graph": ["graph"], "closure": ["closure"],
+            "complex": ["homology"], None: ["homology"]}
+
+
+@st.composite
+def _runs(draw):
+    """Document text and a command line naming it; mostly a command that reads its kind."""
+    name, kind, text = draw(_DOCUMENTS)
+    fitting = draw(st.integers(0, 3)) > 0
+    command = draw(st.sampled_from(_READERS[kind] if fitting else _COMMANDS))
+    argv = [command, name, "--max-dim", str(draw(st.integers(1, 2))),
+            "--coeffs", draw(st.sampled_from(["Z", "Q", "F2", "F3", "F4"]))]
+    argv += ["--reduced"] * draw(st.booleans())
+    if command in ("homology", "graph") and draw(st.integers(0, 3)) == 0:
+        argv += ["--subset", *map(str, draw(st.lists(st.integers(-1, 5), min_size=1, max_size=3)))]
+    if command == "homology" and kind != "complex":
+        argv += ["--scale", draw(st.sampled_from(["0", "1/2", "1", "2", "3", "-1", "x"]))]
+        if draw(st.integers(0, 3)) == 0:
+            argv += ["--delta", draw(st.sampled_from(["1/4", "1/4,1/2", "0", "y"]))]
+    elif command == "closure":
+        argv += ["--relation", draw(st.sampled_from(["interior", "vietoris"]))]
+    elif command == "sweep":  # at most ten rows
+        scales = ["0:1:1/4", "1/2:3:1/2", "0:0:1", "1:0:1", "0:1:0", "a:b"]
+        argv += ["--scales", draw(st.sampled_from(scales))]
+    if draw(st.integers(0, 9)) == 0:
+        argv += ["--format", draw(st.sampled_from(["csv", "edges", "json"]))]
+    return text, argv
+
+
+@given(_runs())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_commands_answer_or_refuse(tmp_path, text_argv):
+    text, argv = text_argv
+    path = tmp_path / argv[1]
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(argv[:1] + [str(path)] + argv[2:])
+    assert code in (OK, BAD_INPUT)
+    assert "Traceback" not in err
+    if code == OK:
+        assert err == ""
+    else:
+        assert out == "" and err.startswith(("error:", "usage:"))

@@ -19,7 +19,7 @@ from vrips.relations import (
     truncated_metric,
 )
 from conftest import metrics, symmetric_relations
-from oracles import brute_scale_pairs, brute_values
+from oracles import brute_closed_balls, brute_pq_continuous, brute_scale_pairs, brute_values
 
 
 def test_space_rejects_empty_and_duplicate_labels():
@@ -301,3 +301,21 @@ def test_pq_continuity_matches_uniform_continuity(dx, dy, data):
     assert v.check_pq_continuity(f, dx, dy, p, q) == bool(
         v.check_uniform_continuity(f, bx, by)
     )
+
+
+@given(metrics(min_points=1, max_points=6))
+@settings(max_examples=60, deadline=None)
+def test_closed_balls_match_the_table_scan(d):
+    for r in _probe_scales(d):
+        assert v.metric_closure_space(d, r).nbhd == brute_closed_balls(d.dist, r)
+
+
+@given(metrics(min_points=1, max_points=5), metrics(min_points=1, max_points=5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_pq_continuity_matches_the_table_scan(dx, dy, data):
+    f = data.draw(st.lists(st.integers(0, dy.space.size - 1),
+                           min_size=dx.space.size, max_size=dx.space.size), label="f")
+    for p in _probe_scales(dx):
+        for q in _probe_scales(dy):
+            assert v.check_pq_continuity(f, dx, dy, p, q) == brute_pq_continuous(
+                f, dx.dist, dy.dist, p, q)
