@@ -148,7 +148,3 @@ def graph_closure_space(edges, space: FiniteSpace) -> AdditiveClosure:
         adj[i].add(j)
         adj[j].add(i)
     return AdditiveClosure(space, tuple(frozenset(s) for s in adj))
-
-
-def discrete_closure(space: FiniteSpace) -> AdditiveClosure:
-    return AdditiveClosure(space, tuple(frozenset([x]) for x in space.points()))

@@ -16,6 +16,10 @@ witness complexes of covers and nerves) takes every face of a family of
 vertex sets. The nerve is the face closure of the points' stars
 {i : x in U_i}, the Dowker dual of the witness complex, which closes the
 cover's sets. The subcomplex of a pair is a full subcomplex of the total.
+
+A SimplicialComplex built directly checks its layers in full. The
+builders here make them sorted and face-closed, so they check only the
+cap; their inputs are checked where they enter.
 """
 
 from __future__ import annotations
@@ -47,13 +51,7 @@ class SimplicialComplex:
     _sets: tuple[frozenset, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        layers = [tuple(sorted(tuple(s) for s in layer)) for layer in self.simplices]
-        while layers and not layers[-1]:
-            layers.pop()
-        object.__setattr__(self, "simplices", tuple(layers))
-        object.__setattr__(self, "_sets", tuple(frozenset(layer) for layer in self.simplices))
-        if self.max_dim < 0:
-            raise ValueError("max_dim must be nonnegative")
+        self._store(sorted(tuple(s) for s in layer) for layer in self.simplices)
         if len(self.simplices) - 1 > self.max_dim:
             raise ValueError("stored simplices exceed the enumeration cap")
         n = self.space.size
@@ -67,6 +65,24 @@ class SimplicialComplex:
                     for face in itertools.combinations(s, k):
                         if face not in self._sets[k - 1]:
                             raise ValueError(f"face {face} of {s} is missing: not face-closed")
+
+    def _store(self, layers):
+        layers = [tuple(layer) for layer in layers]
+        while layers and not layers[-1]:
+            layers.pop()
+        object.__setattr__(self, "simplices", tuple(layers))
+        object.__setattr__(self, "_sets", tuple(frozenset(layer) for layer in layers))
+        if self.max_dim < 0:
+            raise ValueError("max_dim must be nonnegative")
+
+    @classmethod
+    def _trusted(cls, space: FiniteSpace, layers, max_dim: int, complete: bool) -> "SimplicialComplex":
+        """A complex from layers that are sorted and face-closed by construction."""
+        k = object.__new__(cls)
+        for name, value in (("space", space), ("max_dim", max_dim), ("complete", complete)):
+            object.__setattr__(k, name, value)
+        k._store(layers)
+        return k
 
     @property
     def top_dim(self) -> int:
@@ -136,8 +152,8 @@ def _closure(space: FiniteSpace, tops, cap: int) -> SimplicialComplex:
         for k in range(min(len(s), cap + 1)):
             layers[k].update(itertools.combinations(s, k + 1))
     native = max((len(s) - 1 for s in tops), default=0)
-    return SimplicialComplex(space, tuple(tuple(sorted(layer)) for layer in layers), cap,
-                             complete=cap >= native)
+    return SimplicialComplex._trusted(space, (sorted(layer) for layer in layers), cap,
+                                      complete=cap >= native)
 
 
 def _flag_complex(u: Relation, max_dim: int) -> SimplicialComplex:
@@ -166,8 +182,8 @@ def _flag_complex(u: Relation, max_dim: int) -> SimplicialComplex:
         frontier = grown
     # Nothing above the cap can exist if growth stopped early or the cap
     # already fits a simplex on every point.
-    return SimplicialComplex(u.space, tuple(tuple(l) for l in layers), max_dim,
-                             complete=len(layers) - 1 < max_dim or max_dim >= n - 1)
+    return SimplicialComplex._trusted(u.space, layers, max_dim,
+                                      complete=len(layers) - 1 < max_dim or max_dim >= n - 1)
 
 
 def clique_complex(u: Relation, max_dim: int) -> SimplicialComplex:
@@ -234,10 +250,8 @@ def pair_complex(u: Relation, a, max_dim: int) -> ComplexPair:
 def full_subcomplex(k: SimplicialComplex, vertices) -> SimplicialComplex:
     """All stored simplices supported on the given vertex set."""
     vs = k.space.check_points(vertices)
-    layers = tuple(
-        tuple(s for s in layer if set(s) <= vs) for layer in k.simplices
-    )
-    return SimplicialComplex(k.space, layers, k.max_dim, complete=k.complete)
+    layers = (tuple(s for s in layer if vs.issuperset(s)) for layer in k.simplices)
+    return SimplicialComplex._trusted(k.space, layers, k.max_dim, k.complete)
 
 
 def nerve_of_cover(u: Cover, max_dim: int) -> SimplicialComplex:

@@ -3,8 +3,11 @@
 Every numeric value rides through Fraction, never float. CSV distance
 entries and JSON number literals are converted from their decimal text
 directly (json's parse_float hands us the raw literal), so what the
-file says is exactly what the relation sees. Serialized fractions use
-the n/d form of str(Fraction).
+file says is exactly what the relation sees. A CSV table parses each
+distinct cell string once. Serialized fractions use the n/d form of
+str(Fraction). Untrusted input is checked here: the parsers check each
+file's shape and numbers, and the document_to_* conversions hand the
+contents to constructors that check them, turning errors into ParseError.
 """
 
 from __future__ import annotations
@@ -64,6 +67,12 @@ def exact_number(text: str, line: int | None = None) -> Fraction:
     """
     text = text.strip()
     try:
+        # Plain ASCII decimals skip Fraction's pattern match; the two int
+        # calls refuse over-long digit runs exactly where Fraction does.
+        whole, dot, decimals = text.partition(".")
+        if text.isascii() and whole.isdigit() and (decimals.isdigit() or not dot):
+            scale = 10 ** len(decimals)
+            return Fraction(int(whole) * scale + int(decimals or "0"), scale)
         if "e" in text or "E" in text:
             mantissa, _, exp = text.lower().partition("e")
             whole, _, decimals = mantissa.partition(".")
@@ -118,13 +127,17 @@ def parse_distance_csv(text: str) -> SpaceDocument:
     if len(rows) - 1 != n:
         raise ParseError(f"expected {n} data rows, found {len(rows) - 1}")
     table = []
+    parsed: dict[str, Fraction] = {}  # a symmetric table holds each cell twice
     for i, row in enumerate(rows[1:], start=2):
         cells = [c.strip() for c in row]
         if len(cells) != n + 1:
             raise ParseError(f"expected {n + 1} cells, found {len(cells)}", i)
         if cells[0] != header[i - 2]:
             raise ParseError(f"row label {cells[0]!r} does not match header {header[i - 2]!r}", i)
-        table.append(tuple(exact_number(c, i) for c in cells[1:]))
+        for c in cells[1:]:
+            if c not in parsed:
+                parsed[c] = exact_number(c, i)
+        table.append(tuple(parsed[c] for c in cells[1:]))
     return SpaceDocument(kind="distance", labels=tuple(header), distances=tuple(table))
 
 

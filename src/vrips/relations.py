@@ -13,8 +13,9 @@ relation at scale q keeps pairs with d < q, a closed one keeps d <= q,
 and ties are never fuzzed. Callers control the boundary by choosing the
 mode and the numeric type (int, Fraction, float) of their distances.
 
-A distance table sorts its pairs once, when it is built. Every scale
-query after that is a bisection of the sorted distances: a scale
+A distance table is checked and sorted once, when it is built, on exact
+integer keys; relations and bases check themselves whenever built. Every
+scale query after that is a bisection of the sorted distances: a scale
 relation is a prefix of the sorted pairs, and the distinct values are
 stored, not recomputed.
 """
@@ -22,6 +23,7 @@ stored, not recomputed.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -81,14 +83,24 @@ class _PairIndex(NamedTuple):
     values: tuple
 
 
+def _ratio(x) -> tuple:
+    """Exact numerator and denominator of an entry; (x, 0) for a non-finite float."""
+    try:
+        return x.as_integer_ratio()
+    except (OverflowError, ValueError):  # an infinite or NaN float
+        return x, 0
+    except AttributeError:
+        raise TypeError(f"distance {x!r} is not an int, Fraction or float") from None
+
+
 @dataclass(frozen=True)
 class SemiPseudometric:
     """A symmetric distance table with zero diagonal.
 
     No triangle inequality is assumed or checked. Entries may be ints,
-    Fractions, or floats; they are compared exactly as given.
+    Fractions, or floats (+inf too); they are compared exactly as given.
 
-    Construction sorts the pairs i < j by distance, once per table.
+    Construction checks the table and sorts the pairs i < j by distance.
     values() returns the stored distinct values, and every scale query
     (metric_relation, scale_base) is a bisection of the sorted distances.
     """
@@ -98,22 +110,33 @@ class SemiPseudometric:
     _index: _PairIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "dist", tuple(tuple(row) for row in self.dist))
+        dist = tuple(tuple(row) for row in self.dist)
+        object.__setattr__(self, "dist", dist)
         n = self.space.size
-        if len(self.dist) != n or any(len(row) != n for row in self.dist):
+        if len(dist) != n or any(len(row) != n for row in dist):
             raise ValueError("distance table must be square and match the space")
+        # n/d gets the key n * (L // d), L the lcm of every d. Non-finite floats
+        # keep themselves: +inf sorts last, and -inf and NaN fail as unconverted.
+        ratios = [[_ratio(x) for x in row] for row in dist]
+        lcm = math.lcm(*{den for row in ratios for _, den in row if den})
+        keys = [[num * (lcm // den) if den else num for num, den in row] for row in ratios]
         for i in range(n):
-            if self.dist[i][i] != 0:
+            if keys[i][i] != 0:
                 raise ValueError(f"distance table has nonzero diagonal at {i}")
             for j in range(i + 1, n):
-                if self.dist[i][j] != self.dist[j][i]:
+                if keys[i][j] != keys[j][i]:
                     raise ValueError(f"distance table is not symmetric at ({i},{j})")
-                if self.dist[i][j] < 0:
+                if keys[i][j] < 0:
                     raise ValueError(f"negative distance at ({i},{j})")
-        pairs = sorted(itertools.combinations(range(n), 2), key=lambda p: self.dist[p[0]][p[1]])
-        dists = tuple(self.dist[i][j] for i, j in pairs)
-        values = tuple(v for v, _ in itertools.groupby(dists))
-        object.__setattr__(self, "_index", _PairIndex(tuple(pairs), dists, values))
+
+        def key(p):
+            return keys[p[0]][p[1]]
+
+        pairs = tuple(sorted(itertools.combinations(range(n), 2), key=key))
+        dists = tuple(dist[i][j] for i, j in pairs)
+        # Each run of tied keys keeps its first pair's value.
+        values = tuple(dist[i][j] for i, j in (next(run) for _, run in itertools.groupby(pairs, key)))
+        object.__setattr__(self, "_index", _PairIndex(pairs, dists, values))
 
     def d(self, i: int, j: int):
         return self.dist[i][j]
@@ -130,37 +153,6 @@ def metric_from_points(labels, coords, dist_fn) -> SemiPseudometric:
     for i in range(space.size):
         rows.append(tuple(0 if i == j else dist_fn(coords[i], coords[j]) for j in range(space.size)))
     return SemiPseudometric(space, tuple(rows))
-
-
-def shifted_metric(d: SemiPseudometric, q) -> SemiPseudometric:
-    """Shift all distances down by q, clamped at zero.
-
-    Strict relations of the shifted table at scale r coincide with strict
-    relations of the original at scale q + r, which is what makes scale
-    shifting compatible with the derived semi-uniform structures.
-    """
-    if q < 0:
-        raise ValueError("shift must be nonnegative")
-    rows = tuple(
-        tuple((v - q) if v > q else 0 for v in row)
-        for row in d.dist
-    )
-    return SemiPseudometric(d.space, rows)
-
-
-def truncated_metric(d: SemiPseudometric, q) -> SemiPseudometric:
-    """Collapse every distance at most q to zero, keeping the rest."""
-    if q < 0:
-        raise ValueError("truncation scale must be nonnegative")
-    rows = tuple(tuple(0 if v <= q else v for v in row) for row in d.dist)
-    return SemiPseudometric(d.space, rows)
-
-
-def smallest_positive_gap(values):
-    """Smallest positive difference between consecutive distinct values, or None."""
-    vals = sorted(set(values))
-    gaps = [b - a for a, b in zip(vals, vals[1:]) if b - a > 0]
-    return min(gaps) if gaps else None
 
 
 @dataclass(frozen=True)
@@ -359,6 +351,8 @@ def scale_base(d: SemiPseudometric, q, deltas) -> SemiUniformBase:
         raise ValueError("at least one positive offset is required")
     if offs[0] <= 0:
         raise ValueError("offsets must be positive")
+    if q < 0:
+        raise ValueError("scale must be nonnegative")
     return SemiUniformBase.from_members(
         [metric_relation(d, q + off, mode="strict") for off in offs]
     )

@@ -4,18 +4,23 @@ Everything here deliberately avoids the package's own algorithms:
 cliques, nerves and witness complexes come from subset scanning instead
 of incremental expansion or face closure, maximal simplices from a
 superset scan, ranks from a plain fraction elimination written here,
-determinants from Bareiss, and invariant factors from determinantal
-divisors. Scale relations, closed balls, scale continuity and distinct
-distance values come from comparing every entry of a table instead of
-bisecting its sorted pairs. Slow on purpose; only ever applied to small
-instances.
+determinants from Bareiss, invariant factors from determinantal
+divisors, and numbers from Fraction's own reader. Scale relations,
+closed balls, scale continuity and distinct distance values come from
+comparing every entry of a table instead of bisecting its sorted pairs.
+The shifted and truncated tables that the scale tests build live here
+too. Slow on purpose; only ever applied to small instances.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from fractions import Fraction
+
+from vrips.documents import ParseError
+from vrips.relations import SemiPseudometric
 
 
 def brute_scale_pairs(dist, q, mode: str) -> frozenset:
@@ -47,6 +52,52 @@ def brute_values(dist) -> tuple:
     """Sorted distinct off-diagonal distances, by a set and one sort."""
     n = len(dist)
     return tuple(sorted({dist[i][j] for i in range(n) for j in range(i + 1, n)}))
+
+
+def shifted_metric(d: SemiPseudometric, q) -> SemiPseudometric:
+    """Shift all distances down by q, clamped at zero.
+
+    Strict relations of the shifted table at scale r coincide with strict
+    relations of the original at scale q + r.
+    """
+    if q < 0:
+        raise ValueError("shift must be nonnegative")
+    return SemiPseudometric(d.space, tuple(tuple((x - q) if x > q else 0 for x in row)
+                                           for row in d.dist))
+
+
+def truncated_metric(d: SemiPseudometric, q) -> SemiPseudometric:
+    """Collapse every distance at most q to zero, keeping the rest."""
+    if q < 0:
+        raise ValueError("truncation scale must be nonnegative")
+    return SemiPseudometric(d.space, tuple(tuple(0 if x <= q else x for x in row) for row in d.dist))
+
+
+def smallest_positive_gap(values):
+    """Smallest positive difference between consecutive distinct values, or None."""
+    vals = sorted(set(values))
+    gaps = [b - a for a, b in zip(vals, vals[1:]) if b - a > 0]
+    return min(gaps) if gaps else None
+
+
+def reference_exact_number(text: str, line: int | None = None) -> Fraction:
+    """The number reader with no decimal fast path: every literal goes
+    through Fraction, after the same exponent guard."""
+    text = text.strip()
+    try:
+        if "e" in text or "E" in text:
+            mantissa, _, exp = text.lower().partition("e")
+            whole, _, decimals = mantissa.partition(".")
+            shift = int(exp) - sum(c.isdigit() for c in decimals)
+            digits = max(sum(c.isdigit() for c in (whole + decimals).lstrip("+-0_")), 1)
+            limit = sys.get_int_max_str_digits()
+            if limit and max(digits + shift, 1 - shift) > limit:
+                raise OverflowError
+        return Fraction(text)
+    except OverflowError as exc:
+        raise ParseError(f"number too large to hold exactly: {text!r}", line) from exc
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"not an exact number: {text!r}", line) from exc
 
 
 def brute_clique_layers(n: int, pairs, max_dim: int) -> list[list[tuple[int, ...]]]:

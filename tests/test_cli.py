@@ -250,6 +250,7 @@ def test_verify_reports_failures(monkeypatch):
         ["sweep", "SQUARE", "--scales", "0:1e10000000:1"],
         ["verify", "--trials", "-3"],
         ["verify", "--suite", "excision", "--trials", "0"],
+        ["homology", "SQUARE", "--scale", "-1"],  # refused with the default offset too
     ],
 )
 def test_bad_input_exits_two(argv, square_csv, cycle_edges, arcs_json, huge_csv, huge_json):

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 import vrips as v
-from vrips.closure import discrete_closure
 from vrips.relations import space_of_size
 
 
@@ -87,7 +86,7 @@ def test_ii_relation_values():
 
 def test_ii_matches_vietoris_for_discrete_closure():
     space = space_of_size(4)
-    c = discrete_closure(space)
+    c = v.AdditiveClosure(space, tuple(frozenset([x]) for x in space.points()))  # discrete
     cov = v.Cover(space, (frozenset({0, 1}), frozenset({1, 2, 3})))
     assert v.ii_relation(c, cov).pairs == v.vietoris_relation(cov).pairs
 

@@ -31,6 +31,48 @@ def test_complex_validation():
         v.SimplicialComplex(space, (((5,),),), 0)
 
 
+def _passes_full_checks(k):
+    checked = v.SimplicialComplex(k.space, k.simplices, k.max_dim, k.complete)
+    assert k == checked
+    assert k._sets == checked._sets
+
+
+@given(st.one_of(symmetric_relations(max_points=6), any_relations(max_points=5)), CAPS,
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_flag_builders_pass_the_full_checks(rel, cap, data):
+    k = v.vr_complex(rel, cap)
+    _passes_full_checks(k)
+    subset = data.draw(st.frozensets(st.integers(0, rel.space.size - 1)), label="subset")
+    _passes_full_checks(v.full_subcomplex(k, subset))
+
+
+@given(covers(), CAPS)
+@settings(max_examples=80, deadline=None)
+def test_cover_builders_pass_the_full_checks(cov, cap):
+    _passes_full_checks(v.cover_complex(cov, cap))
+    _passes_full_checks(v.nerve_of_cover(cov, cap))
+
+
+@given(explicit_complexes(max_points=6))
+@settings(max_examples=60, deadline=None)
+def test_explicit_complexes_pass_the_full_checks(k):
+    _passes_full_checks(k)
+
+
+def test_builders_refuse_a_negative_cap(cycle4):
+    cov = v.Cover(cycle4.space, (frozenset({0, 1}), frozenset({1, 2, 3})))
+    builds = (
+        lambda: v.vr_complex(cycle4, -1),
+        lambda: v.cover_complex(cov, -1),
+        lambda: v.nerve_of_cover(cov, -1),
+        lambda: v.explicit_complex(cycle4.space, [(0, 1)], max_dim=-1),
+    )
+    for build in builds:
+        with pytest.raises(ValueError, match="^max_dim must be nonnegative$"):
+            build()
+
+
 def test_empty_layers_are_trimmed():
     space = space_of_size(2)
     k = v.SimplicialComplex(space, (((0,), (1,)), ()), 3)

@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vrips import closure_of_set, homology, vr_complex
 from vrips.documents import (
@@ -28,6 +30,7 @@ from vrips.documents import (
     serialize_result,
     serialize_space_json,
 )
+from oracles import reference_exact_number
 
 SQUARE_CSV = """\
 ,p,q,r
@@ -207,6 +210,60 @@ def test_exponents_stop_at_the_interpreter_digit_limit():
     with pytest.raises(ParseError):
         parse_space_json('{"kind": "graph", "labels": ["a"], "edges": [[0, 1%s]]}'
                          % ("0" * limit))
+
+
+def _read_outcome(read, text):
+    try:
+        value = read(text, 3)
+    except ParseError as exc:
+        return "error", str(exc), exc.line
+    return "value", value, type(value)
+
+
+@given(st.one_of(
+    st.from_regex(r"[0-9]{1,12}(\.[0-9]{1,12})?", fullmatch=True),  # the decimal fast path
+    st.from_regex(r"[0-9]{0,3}\.?[0-9]{0,3}", fullmatch=True),  # and its edges: "1.", ".5"
+    st.text(alphabet="0123456789.+-eE_/ \t\u0661\u0662\u00b2\uff11", max_size=12),
+    st.text(max_size=8),
+))
+@settings(max_examples=400, deadline=None)
+def test_exact_number_matches_fractions_reader(text):
+    assert _read_outcome(exact_number, text) == _read_outcome(reference_exact_number, text)
+
+
+@pytest.mark.parametrize("text", [
+    "0", "007.50", "1.", ".5", "1_0", "1.2_5", "+1.5", "-0.5", " 2.25\t", "1.5.2", "3/4",
+    "1e3", "2.5E-2", "\u0661\u0662", "\u0661.\u0662", "\u00b2", "\uff11.5", "",
+])
+def test_exact_number_edge_cases_match_fractions_reader(text):
+    assert _read_outcome(exact_number, text) == _read_outcome(reference_exact_number, text)
+
+
+def test_long_digit_runs_match_fractions_reader():
+    limit = sys.get_int_max_str_digits()
+    # The last run of digits is within the limit on each side of the
+    # point, while the two together are not.
+    for text in ("1" * limit, "1" * (limit + 1), "0." + "1" * (limit + 1),
+                 "2" * (limit // 2 + 10) + "." + "3" * (limit // 2 + 10)):
+        assert _read_outcome(exact_number, text) == _read_outcome(reference_exact_number, text)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from(["0", "1", "0.5", "1/2", " 2 ", "1e1", "x", "-1", "1."]),
+             min_size=n, max_size=n), min_size=n, max_size=n)))
+@settings(max_examples=150, deadline=None)
+def test_distance_cells_read_like_fractions_reader(cells):
+    labels = [f"p{i}" for i in range(len(cells))]
+    text = "\n".join([",".join([""] + labels)]
+                     + [",".join([label] + row) for label, row in zip(labels, cells)])
+    try:
+        want = tuple(tuple(reference_exact_number(c, line) for c in row)
+                     for line, row in enumerate(cells, start=2))
+    except ParseError as exc:
+        with pytest.raises(ParseError, match=re.escape(str(exc)) + "$"):
+            parse_distance_csv(text)
+        return
+    assert parse_distance_csv(text).distances == want
 
 
 def test_json_syntax_errors_carry_a_line():

@@ -1,5 +1,8 @@
 """Relations, distance tables, bases, and continuity scans."""
 
+import itertools
+import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,13 +16,18 @@ from vrips.relations import (
     full_relation,
     is_symmetric,
     relation,
-    shifted_metric,
-    smallest_positive_gap,
     space_of_size,
-    truncated_metric,
 )
 from conftest import metrics, symmetric_relations
-from oracles import brute_closed_balls, brute_pq_continuous, brute_scale_pairs, brute_values
+from oracles import (
+    brute_closed_balls,
+    brute_pq_continuous,
+    brute_scale_pairs,
+    brute_values,
+    shifted_metric,
+    smallest_positive_gap,
+    truncated_metric,
+)
 
 
 def test_space_rejects_empty_and_duplicate_labels():
@@ -319,3 +327,114 @@ def test_pq_continuity_matches_the_table_scan(dx, dy, data):
         for q in _probe_scales(dy):
             assert v.check_pq_continuity(f, dx, dy, p, q) == brute_pq_continuous(
                 f, dx.dist, dy.dist, p, q)
+
+
+# One class of equal values per entry, each with its representations: ints,
+# n/d Fractions, Fractions read from decimals, and floats, +inf included.
+_SAME_VALUE = (
+    (0, Fraction(0), 0.0),
+    (Fraction(1, 4), Fraction("0.25"), 0.25),
+    (Fraction(1, 3),),
+    (Fraction(1, 2), 0.5),
+    (1, Fraction(1), Fraction("1.0"), 1.0),
+    (Fraction(3, 2), Fraction("1.5"), 1.5),
+    (Fraction(3, 10), Fraction("0.3")),
+    (0.1,),
+    (0.1 + 0.2,),
+    (0.3,),
+    (2, Fraction(2), 2.0),
+    (math.inf,),
+)
+
+
+@st.composite
+def mixed_tables(draw, max_points: int = 6):
+    """Symmetric tables whose two halves may hold equal values of different types."""
+    n = draw(st.integers(1, max_points))
+    rows = [[draw(st.sampled_from(_SAME_VALUE[0])) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            same = draw(st.sampled_from(_SAME_VALUE))
+            rows[i][j], rows[j][i] = draw(st.sampled_from(same)), draw(st.sampled_from(same))
+    return rows
+
+
+def _fraction_order(x):
+    return (1, 0) if x == math.inf else (0, Fraction(x))
+
+
+@given(mixed_tables())
+@settings(max_examples=150, deadline=None)
+def test_integer_keys_order_mixed_tables_as_fractions_do(rows):
+    d = v.SemiPseudometric(space_of_size(len(rows)), rows)
+    pairs = sorted(itertools.combinations(range(len(rows)), 2),
+                   key=lambda p: _fraction_order(rows[p[0]][p[1]]))
+    assert d._index.pairs == tuple(pairs)
+    assert [(x, type(x)) for x in d._index.dists] == [(rows[i][j], type(rows[i][j])) for i, j in pairs]
+    firsts = {}
+    for i, j in pairs:
+        firsts.setdefault(_fraction_order(rows[i][j]), rows[i][j])
+    assert [(x, type(x)) for x in d.values()] == [(x, type(x)) for x in firsts.values()]
+    assert [(x, type(x)) for x in d.values()] == [(x, type(x)) for x in brute_values(d.dist)]
+    vals = d.values()
+    for q in [0, *vals, *((a + b) / 2 for a, b in zip(vals, vals[1:]))]:
+        for mode in ("strict", "closed"):
+            rel = v.metric_relation(d, q, mode=mode)
+            assert rel.pairs == brute_scale_pairs(rows, q, mode) | diagonal(d.space).pairs
+
+
+def _first_fault(rows):
+    """The message the table's checks give, scanning raw values in their order."""
+    n = len(rows)
+    for i in range(n):
+        if rows[i][i] != 0:
+            return f"distance table has nonzero diagonal at {i}"
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                return f"distance table is not symmetric at ({i},{j})"
+            if rows[i][j] < 0:
+                return f"negative distance at ({i},{j})"
+    return None
+
+
+@given(mixed_tables(max_points=5), st.data())
+@settings(max_examples=150, deadline=None)
+def test_integer_keys_find_the_first_fault(rows, data):
+    n = len(rows)
+    i, j = data.draw(st.integers(0, n - 1), label="i"), data.draw(st.integers(0, n - 1), label="j")
+    bad = data.draw(st.sampled_from([x for same in _SAME_VALUE for x in same]
+                                    + [-1, Fraction(-1, 3), -0.5]), label="entry")
+    rows[i][j] = bad
+    if data.draw(st.booleans(), label="mirror"):
+        rows[j][i] = bad
+    fault = _first_fault(rows)
+    if fault is None:
+        v.SemiPseudometric(space_of_size(n), rows)
+    else:
+        with pytest.raises(ValueError, match=re.escape(fault) + "$"):
+            v.SemiPseudometric(space_of_size(n), rows)
+
+
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+@pytest.mark.parametrize("value, off_diagonal_fault", [
+    (math.inf, None),
+    (-math.inf, "negative distance at (0,1)"),
+    (math.nan, "distance table is not symmetric at (0,1)"),
+])
+def test_non_finite_floats(where, value, off_diagonal_fault):
+    rows = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
+    if where == "diagonal":
+        rows[1][1] = value
+        fault = "distance table has nonzero diagonal at 1"
+    else:
+        rows[0][1] = rows[1][0] = value
+        fault = off_diagonal_fault
+    if fault is not None:
+        with pytest.raises(ValueError, match=re.escape(fault) + "$"):
+            v.SemiPseudometric(space_of_size(3), rows)
+        return
+    d = v.SemiPseudometric(space_of_size(3), rows)
+    assert d.values() == (2, 3, math.inf)
+    assert d._index.pairs == ((0, 2), (1, 2), (0, 1))
+    assert v.metric_relation(d, 10**400, "closed").pairs == diagonal(d.space).pairs | {
+        (0, 2), (2, 0), (1, 2), (2, 1)}
