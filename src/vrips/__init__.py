@@ -46,7 +46,6 @@ from .complexes import (
     are_contiguous,
     clique_complex,
     cover_complex,
-    directed_clique_complex,
     explicit_complex,
     full_subcomplex,
     nerve_of_cover,
@@ -62,7 +61,6 @@ from .homology import (
     InducedMapResult,
     IntegerMatrix,
     SNFResult,
-    boundary_matrices,
     check_les_exactness,
     cohomology,
     homology,

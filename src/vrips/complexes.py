@@ -6,14 +6,14 @@ bases are deterministic. Complexes remember their enumeration cap
 (max_dim) and whether enumeration was exhaustive below it (complete),
 which is what lets homology flag an unreliable top dimension.
 
-Every complex comes from one of two builders. Flag growth (clique,
-directed clique and Vietoris-Rips complexes) extends (k-1)-cliques by a
-later neighbor shared with every clique vertex, never scanning all
-vertex subsets; non-symmetric input also goes through a greedy
-source-elimination test that recognizes vertex sets admitting a total
-order with all forward pairs related. Face closure (explicit complexes,
-witness complexes of covers and nerves) takes every face of a family of
-vertex sets. The nerve is the face closure of the points' stars
+Every complex comes from one of two builders. Flag growth (vr_complex,
+which clique_complex calls after refusing non-symmetric input) extends
+(k-1)-cliques by a later neighbor shared with every clique vertex, never
+scanning all vertex subsets; non-symmetric input also goes through a
+greedy source-elimination test that recognizes vertex sets admitting a
+total order with all forward pairs related. Face closure (explicit
+complexes, witness complexes of covers and nerves) takes every face of a
+family of vertex sets. The nerve is the face closure of the points' stars
 {i : x in U_i}, the Dowker dual of the witness complex, which closes the
 cover's sets. The subcomplex of a pair is a full subcomplex of the total.
 
@@ -156,7 +156,29 @@ def _closure(space: FiniteSpace, tops, cap: int) -> SimplicialComplex:
                                       complete=cap >= native)
 
 
-def _flag_complex(u: Relation, max_dim: int) -> SimplicialComplex:
+def clique_complex(u: Relation, max_dim: int) -> SimplicialComplex:
+    """Flag complex of a symmetric relation.
+
+    Simplices are the vertex sets that are pairwise related; every point
+    is a vertex because relations contain the diagonal. Non-symmetric
+    input is rejected: use vr_complex instead, or apply symmetric_part
+    first, whichever matches the intent.
+    """
+    if not is_symmetric(u):
+        raise ValueError(
+            "relation is not symmetric: use vr_complex for order-aware "
+            "simplices or symmetric_part(u) to symmetrize first"
+        )
+    return vr_complex(u, max_dim)
+
+
+def vr_complex(u: Relation, max_dim: int) -> SimplicialComplex:
+    """Flag complex of a relation, order-aware exactly when it has to be.
+
+    A vertex set is a simplex when some linear order makes every forward
+    pair related; diagonal pairs are ignored by the order test. On
+    symmetric relations this is the clique complex.
+    """
     # Flag growth: a k-simplex extends a (k-1)-simplex by a later vertex
     # related, in some direction, to every vertex of it. Non-symmetric
     # relations also need a source order on the extended set.
@@ -186,22 +208,6 @@ def _flag_complex(u: Relation, max_dim: int) -> SimplicialComplex:
                                       complete=len(layers) - 1 < max_dim or max_dim >= n - 1)
 
 
-def clique_complex(u: Relation, max_dim: int) -> SimplicialComplex:
-    """Flag complex of a symmetric relation.
-
-    Simplices are the vertex sets that are pairwise related; every point
-    is a vertex because relations contain the diagonal. Non-symmetric
-    input is rejected: apply directed_clique_complex or symmetric_part
-    first, whichever matches the intent.
-    """
-    if not is_symmetric(u):
-        raise ValueError(
-            "relation is not symmetric: use directed_clique_complex for order-aware "
-            "simplices or symmetric_part(u) to symmetrize first"
-        )
-    return _flag_complex(u, max_dim)
-
-
 def _has_source_order(vs: Simplex, pairs) -> bool:
     # Greedy source elimination: repeatedly remove a vertex with forward
     # pairs to everything remaining. Faces of recognized sets are always
@@ -217,21 +223,6 @@ def _has_source_order(vs: Simplex, pairs) -> bool:
             if (v, src) in pairs:
                 out[v] -= 1
     return True
-
-
-def directed_clique_complex(u: Relation, max_dim: int) -> SimplicialComplex:
-    """Order-aware flag complex of a possibly non-symmetric relation.
-
-    A vertex set is a simplex when some linear order makes every forward
-    pair related; diagonal pairs are ignored by the order test. On
-    symmetric relations this agrees with clique_complex.
-    """
-    return _flag_complex(u, max_dim)
-
-
-def vr_complex(u: Relation, max_dim: int) -> SimplicialComplex:
-    """Flag complex of a relation, order-aware exactly when it has to be."""
-    return _flag_complex(u, max_dim)
 
 
 def pair_complex(u: Relation, a, max_dim: int) -> ComplexPair:

@@ -141,17 +141,6 @@ def parse_distance_csv(text: str) -> SpaceDocument:
     return SpaceDocument(kind="distance", labels=tuple(header), distances=tuple(table))
 
 
-def serialize_distance_csv(doc: SpaceDocument) -> str:
-    if doc.kind != "distance" or doc.distances is None:
-        raise ValueError("not a distance document")
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow([""] + list(doc.labels))
-    for label, row in zip(doc.labels, doc.distances):
-        w.writerow([label] + [str(v) for v in row])
-    return out.getvalue()
-
-
 def document_to_metric(doc: SpaceDocument) -> SemiPseudometric:
     if doc.kind != "distance" or doc.distances is None:
         raise ValueError("not a distance document")
@@ -225,23 +214,6 @@ def parse_edge_list(text: str) -> SpaceDocument:
                     seen.add((j, i))
     return SpaceDocument(kind="graph", labels=tuple(labels), edges=tuple(edges),
                          directed=directed)
-
-
-def serialize_edge_list(doc: SpaceDocument) -> str:
-    if doc.kind != "graph" or doc.edges is None:
-        raise ValueError("not a graph document")
-    lines = []
-    touched = set()
-    for i, j in doc.edges:
-        touched.update((i, j))
-        if doc.directed:
-            lines.append(f"{doc.labels[i]} -> {doc.labels[j]}")
-        else:
-            lines.append(f"{doc.labels[i]} {doc.labels[j]}")
-    for i, label in enumerate(doc.labels):
-        if i not in touched:
-            lines.append(label)
-    return "\n".join(lines) + "\n"
 
 
 def document_to_relation(doc: SpaceDocument) -> Relation:
@@ -351,22 +323,6 @@ def _jsonable(obj):
     return obj
 
 
-def serialize_space_json(doc: SpaceDocument) -> str:
-    body: dict = {"schema": SCHEMA, "kind": doc.kind, "labels": list(doc.labels)}
-    if doc.kind == "distance":
-        body["distances"] = _jsonable(doc.distances)
-    elif doc.kind == "graph":
-        body["edges"] = _jsonable(doc.edges)
-        body["directed"] = doc.directed
-    elif doc.kind == "closure":
-        body["neighborhoods"] = _jsonable(doc.neighborhoods)
-        if doc.cover_sets is not None:
-            body["cover"] = _jsonable(doc.cover_sets)
-    else:
-        body["simplices"] = _jsonable(doc.simplices)
-    return json.dumps(body, indent=2) + "\n"
-
-
 def document_to_closure(doc: SpaceDocument) -> AdditiveClosure:
     if doc.kind != "closure" or doc.neighborhoods is None:
         raise ValueError("not a closure document")
@@ -433,13 +389,3 @@ def result_document(command: str, parameters: dict, results: dict) -> dict:
 
 def serialize_result(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
-
-
-def parse_result(text: str) -> dict:
-    return json.loads(text, parse_float=Fraction)
-
-
-def results_equal(a: dict, b: dict) -> bool:
-    """Equality of result documents, ignoring the timestamp."""
-    trimmed = [{k: v for k, v in d.items() if k != "generated_at"} for d in (a, b)]
-    return trimmed[0] == trimmed[1]

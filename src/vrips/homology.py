@@ -50,16 +50,32 @@ Simplex = tuple[int, ...]
 # coefficients
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_LIMIT = 318665857834031151167461  # those bases decide every number below it
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; numbers the bases cannot decide are refused."""
+    if p >= _PRIME_LIMIT:
+        raise ValueError(f"modulus {p} is too large: prime fields need p < {_PRIME_LIMIT}")
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for a in _PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        f += 2
     return True
 
 
@@ -125,28 +141,6 @@ class IntegerMatrix:
         elif cols is None:
             raise ValueError("an empty matrix needs an explicit column count")
         return cls(len(rows), cols, tuple(tuple(r) for r in rows))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(
-            self.cols, self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
-
-    def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            row = self.entries[i]
-            out.append(tuple(
-                sum(row[k] * other.entries[k][j] for k in range(self.cols))
-                for j in range(other.cols)
-            ))
-        return IntegerMatrix(self.rows, other.cols, tuple(out))
 
 
 @dataclass(frozen=True)
@@ -273,10 +267,6 @@ def smith_normal_form(m) -> SNFResult:
         IntegerMatrix.from_rows([row[c:] for row in a[:r]], cols=r),
         IntegerMatrix.from_rows([row[:c] for row in a[r:]], cols=c),
     )
-
-
-def _snf_diagonal(mat: IntegerMatrix) -> list[int]:
-    return _snf_core([list(row) for row in mat.entries], mat.rows, mat.cols)
 
 
 # --------------------------------------------------------------------------
@@ -412,12 +402,13 @@ class _Chains:
                 co[i][j] = x
         return co
 
-    def dense(self, k: int) -> IntegerMatrix:
+    def dense(self, k: int) -> list[list[int]]:
+        """d_k as plain rows, one per (k-1)-cell."""
         grid = [[0] * self.n(k) for _ in self.cells(k - 1)]
         for j, col in enumerate(self.columns(k)):
             for i, x in col.items():
                 grid[i][j] = x
-        return IntegerMatrix(self.n(k - 1), self.n(k), tuple(map(tuple, grid)))
+        return grid
 
 
 def _whole(obj) -> SimplicialComplex:
@@ -436,16 +427,6 @@ def _chains_of(obj) -> _Chains:
         )
         return _Chains(bases, relative_nonempty=sub.top_dim >= 0)
     raise TypeError(f"expected a complex or a pair, got {type(obj).__name__}")
-
-
-def boundary_matrices(obj) -> list[IntegerMatrix]:
-    """Boundary matrices [d_1, ..., d_top] over the canonical bases.
-
-    Entry k-1 maps degree-k chains to degree-(k-1) chains; for a pair
-    the bases are the total simplices outside the subcomplex.
-    """
-    chains = _chains_of(obj)
-    return [chains.dense(k) for k in range(1, chains.top + 1)]
 
 
 # --------------------------------------------------------------------------
@@ -604,7 +585,7 @@ class _Reducer:
         red = self.reduction(k)
         if not red.stalled:
             return len(red.pivots), ()
-        diag = _snf_diagonal(self.chains.dense(k))
+        diag = _snf_core(self.chains.dense(k), self.chains.n(k - 1), self.chains.n(k))
         return sum(1 for v in diag if v), tuple(v for v in diag if v > 1)
 
     def basis(self, k: int) -> _DimBasis:

@@ -146,15 +146,6 @@ class SemiPseudometric:
         return self._index.values
 
 
-def metric_from_points(labels, coords, dist_fn) -> SemiPseudometric:
-    """Distance table from coordinates and a symmetric distance function."""
-    space = FiniteSpace(tuple(labels))
-    rows = []
-    for i in range(space.size):
-        rows.append(tuple(0 if i == j else dist_fn(coords[i], coords[j]) for j in range(space.size)))
-    return SemiPseudometric(space, tuple(rows))
-
-
 @dataclass(frozen=True)
 class Relation:
     """Ordered index pairs over a space, always containing the diagonal."""
@@ -183,15 +174,6 @@ def relation(space: FiniteSpace, pairs=()) -> Relation:
     """Build a relation from arbitrary pairs, adjoining the diagonal."""
     diag = {(i, i) for i in range(space.size)}
     return Relation(space, frozenset(pairs) | diag)
-
-
-def diagonal(space: FiniteSpace) -> Relation:
-    return relation(space)
-
-
-def full_relation(space: FiniteSpace) -> Relation:
-    n = space.size
-    return Relation(space, frozenset(itertools.product(range(n), repeat=2)))
 
 
 def relation_inverse(u: Relation) -> Relation:
@@ -328,7 +310,6 @@ class SemiUniformBase:
                 cap = u.pairs & v.pairs
                 if not any(m.pairs <= cap for m in family):
                     family.append(Relation(space, cap))
-                    seen[cap] = family[-1]
                     changed = True
         return cls(space, tuple(family))
 
@@ -360,11 +341,13 @@ def scale_base(d: SemiPseudometric, q, deltas) -> SemiUniformBase:
 
 def closing_offset(d: SemiPseudometric, q) -> Fraction:
     """One offset making the strict relation at q + delta equal to the
-    closed relation at q: half the gap up to the next larger distance,
-    or 1 when no distance exceeds q."""
+    closed relation at q: half the exact gap up to the next larger
+    distance, or 1 when no finite distance exceeds q."""
     vals = d.values()
     k = bisect_right(vals, q)
-    return Fraction(vals[k] - q) / 2 if k < len(vals) else Fraction(1)
+    if k == len(vals) or vals[k] == math.inf:
+        return Fraction(1)
+    return (Fraction(vals[k]) - Fraction(q)) / 2
 
 
 @dataclass(frozen=True)

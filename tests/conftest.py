@@ -9,7 +9,8 @@ import pytest
 from hypothesis import strategies as st
 
 import vrips as v
-from vrips.relations import metric_from_points, relation, space_of_size
+from vrips.relations import relation, space_of_size
+from oracles import metric_from_points
 
 
 def exact(x, digits: int = 8) -> Fraction:

@@ -9,18 +9,86 @@ divisors, and numbers from Fraction's own reader. Scale relations,
 closed balls, scale continuity and distinct distance values come from
 comparing every entry of a table instead of bisecting its sorted pairs.
 The shifted and truncated tables that the scale tests build live here
-too. Slow on purpose; only ever applied to small instances.
+too, with the other helpers only tests use: the diagonal and full
+relations, a table from coordinates, writers for the three input
+formats, a reader for result documents, and the identity, transpose and
+product of integer matrices. Slow on purpose; only ever applied to
+small instances.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import json
 import math
 import sys
 from fractions import Fraction
 
-from vrips.documents import ParseError
-from vrips.relations import SemiPseudometric
+from vrips.documents import SCHEMA, ParseError, SpaceDocument
+from vrips.homology import IntegerMatrix
+from vrips.relations import FiniteSpace, Relation, SemiPseudometric, relation
+
+
+def diagonal(space: FiniteSpace) -> Relation:
+    return relation(space)
+
+
+def full_relation(space: FiniteSpace) -> Relation:
+    n = space.size
+    return Relation(space, frozenset(itertools.product(range(n), repeat=2)))
+
+
+def metric_from_points(labels, coords, dist_fn) -> SemiPseudometric:
+    """Distance table from coordinates and a symmetric distance function."""
+    space = FiniteSpace(tuple(labels))
+    n = space.size
+    return SemiPseudometric(space, tuple(
+        tuple(0 if i == j else dist_fn(coords[i], coords[j]) for j in range(n)) for i in range(n)))
+
+
+def serialize_distance_csv(doc: SpaceDocument) -> str:
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow([""] + list(doc.labels))
+    for label, row in zip(doc.labels, doc.distances):
+        w.writerow([label] + [str(v) for v in row])
+    return out.getvalue()
+
+
+def serialize_edge_list(doc: SpaceDocument) -> str:
+    arrow = " -> " if doc.directed else " "
+    lines = [f"{doc.labels[i]}{arrow}{doc.labels[j]}" for i, j in doc.edges]
+    touched = {v for e in doc.edges for v in e}
+    lines += [label for i, label in enumerate(doc.labels) if i not in touched]
+    return "\n".join(lines) + "\n"
+
+
+def serialize_space_json(doc: SpaceDocument) -> str:
+    """JSON form of a document; Fractions are written as n/d strings."""
+    body: dict = {"schema": SCHEMA, "kind": doc.kind, "labels": list(doc.labels)}
+    if doc.kind == "distance":
+        body["distances"] = doc.distances
+    elif doc.kind == "graph":
+        body.update(edges=doc.edges, directed=doc.directed)
+    elif doc.kind == "closure":
+        body["neighborhoods"] = doc.neighborhoods
+        if doc.cover_sets is not None:
+            body["cover"] = doc.cover_sets
+    else:
+        body["simplices"] = doc.simplices
+    return json.dumps(body, indent=2, default=str) + "\n"
+
+
+def parse_result(text: str) -> dict:
+    return json.loads(text, parse_float=Fraction)
+
+
+def results_equal(a: dict, b: dict) -> bool:
+    """Equality of result documents, ignoring the timestamp."""
+    trimmed = [{k: v for k, v in d.items() if k != "generated_at"} for d in (a, b)]
+    return trimmed[0] == trimmed[1]
 
 
 def brute_scale_pairs(dist, q, mode: str) -> frozenset:
@@ -153,6 +221,23 @@ def brute_maximal(layers) -> list[tuple[int, ...]]:
     """Simplices contained in no other listed simplex, layer by layer."""
     every = [set(s) for layer in layers for s in layer]
     return [s for layer in layers for s in layer if not any(set(s) < t for t in every)]
+
+
+def identity_matrix(n: int) -> IntegerMatrix:
+    return IntegerMatrix(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
+def transpose(m: IntegerMatrix) -> IntegerMatrix:
+    return IntegerMatrix(m.cols, m.rows, tuple(
+        tuple(m.entries[i][j] for i in range(m.rows)) for j in range(m.cols)))
+
+
+def matmul(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch in matrix product")
+    return IntegerMatrix(a.rows, b.cols, tuple(
+        tuple(sum(x * b.entries[k][j] for k, x in enumerate(row)) for j in range(b.cols))
+        for row in a.entries))
 
 
 def boundary_from_layers(lower, upper) -> list[list[int]]:

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import vrips as v
 import vrips.cli
 from conftest import any_relations, metrics
+from oracles import parse_result, results_equal
 from vrips.cli import BAD_INPUT, FAILED, OK, run_command
-from vrips.documents import parse_result, results_equal
 from vrips.relations import is_symmetric
 from vrips.semiuniform import AxiomVerdict
 
@@ -251,6 +251,10 @@ def test_verify_reports_failures(monkeypatch):
         ["verify", "--trials", "-3"],
         ["verify", "--suite", "excision", "--trials", "0"],
         ["homology", "SQUARE", "--scale", "-1"],  # refused with the default offset too
+        # 100000000003 * 100000000019: trial division would take hours
+        ["homology", "SQUARE", "--scale", "1", "--coeffs", "F10000000002200000000057"],
+        # a 30-digit prime, past the range where primality is decided exactly
+        ["homology", "SQUARE", "--scale", "1", "--coeffs", "F100000000000000000000000000319"],
     ],
 )
 def test_bad_input_exits_two(argv, square_csv, cycle_edges, arcs_json, huge_csv, huge_json):
@@ -263,6 +267,14 @@ def test_bad_input_exits_two(argv, square_csv, cycle_edges, arcs_json, huge_csv,
     assert out == ""
     assert err.startswith("error:") or err.startswith("usage:")
     assert "Traceback" not in err
+
+
+def test_a_large_prime_modulus_is_accepted_quickly(square_csv):
+    start = time.perf_counter()
+    code, out, err = run(["homology", square_csv, "--scale", "1", "--coeffs", "F2305843009213693951"])
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (OK, "")
+    assert parse_result(out)["results"]["betti"] == [1, 1]
 
 
 def _script(name):

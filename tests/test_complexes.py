@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vrips as v
-from vrips.complexes import chain_image, directed_clique_complex
-from vrips.relations import full_relation, is_symmetric, relation, relativize, space_of_size
+from vrips.complexes import chain_image
+from vrips.relations import is_symmetric, relation, relativize, space_of_size
 from conftest import RP2_FACES, any_relations, covers, explicit_complexes, symmetric_relations
 from oracles import (
     brute_clique_layers,
@@ -14,6 +14,7 @@ from oracles import (
     brute_maximal,
     brute_nerve_layers,
     brute_witness_layers,
+    full_relation,
 )
 
 CAPS = st.integers(0, 4)
@@ -98,7 +99,7 @@ def test_clique_complex_rejects_asymmetric():
 @given(any_relations(max_points=4))
 @settings(max_examples=80, deadline=None)
 def test_directed_complex_matches_permutation_scan(rel):
-    k = directed_clique_complex(rel, 3)
+    k = v.vr_complex(rel, 3)
     expected = brute_directed_layers(rel.space.size, rel.off_diagonal(), 3)
     got = [list(k.layer(d)) for d in range(4)]
     assert got == [sorted(layer) for layer in expected]
@@ -107,7 +108,7 @@ def test_directed_complex_matches_permutation_scan(rel):
 @given(symmetric_relations(max_points=5))
 @settings(max_examples=40, deadline=None)
 def test_directed_equals_clique_on_symmetric(rel):
-    assert directed_clique_complex(rel, 3).simplices == v.clique_complex(rel, 3).simplices
+    assert v.vr_complex(rel, 3).simplices == v.clique_complex(rel, 3).simplices
 
 
 def test_vr_complex_dispatch():

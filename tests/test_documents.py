@@ -21,16 +21,18 @@ from vrips.documents import (
     parse_distance_csv,
     parse_document,
     parse_edge_list,
-    parse_result,
     parse_space_json,
     result_document,
+    serialize_result,
+)
+from oracles import (
+    parse_result,
+    reference_exact_number,
     results_equal,
     serialize_distance_csv,
     serialize_edge_list,
-    serialize_result,
     serialize_space_json,
 )
-from oracles import reference_exact_number
 
 SQUARE_CSV = """\
 ,p,q,r

@@ -1,5 +1,7 @@
 """Smith normal form, boundary matrices, homology, cohomology."""
 
+import importlib
+
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -7,9 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vrips as v
-from vrips.relations import full_relation, relation, space_of_size
+from vrips.relations import relation, space_of_size
 from conftest import explicit_complexes, symmetric_relations
-from oracles import bareiss_det, brute_betti, determinantal_divisors
+from oracles import (
+    bareiss_det,
+    boundary_from_layers,
+    brute_betti,
+    determinantal_divisors,
+    full_relation,
+    identity_matrix,
+    matmul,
+    transpose,
+)
+
+# The package re-exports a function named homology, so the module is
+# fetched by its full name.
+hom = importlib.import_module("vrips.homology")
 
 int_entries = st.integers(-9, 9)
 
@@ -24,9 +39,9 @@ def int_matrices(draw, max_side: int = 6):
 
 def test_integer_matrix_basics():
     m = v.IntegerMatrix.from_rows([[1, 2], [3, 4]])
-    assert m.transpose().entries == ((1, 3), (2, 4))
-    ident = v.IntegerMatrix.identity(2)
-    assert m.mul(ident).entries == m.entries
+    assert transpose(m).entries == ((1, 3), (2, 4))
+    ident = identity_matrix(2)
+    assert matmul(m, ident).entries == m.entries
     with pytest.raises(ValueError):
         v.IntegerMatrix.from_rows([])
     empty = v.IntegerMatrix.from_rows([], cols=3)
@@ -34,7 +49,7 @@ def test_integer_matrix_basics():
     with pytest.raises(ValueError):
         v.IntegerMatrix(2, 2, ((1, 2),))
     with pytest.raises(ValueError):
-        m.mul(v.IntegerMatrix.identity(3))
+        matmul(m, identity_matrix(3))
 
 
 def test_snf_hand_example():
@@ -62,7 +77,7 @@ def _diag_matrix(d, rows, cols):
 def test_snf_invariants(m):
     s = v.smith_normal_form(m)
     # Reconstruction: the tracked transforms actually diagonalize.
-    assert s.left.mul(m).mul(s.right).entries == _diag_matrix(s.d, m.rows, m.cols).entries
+    assert matmul(matmul(s.left, m), s.right).entries == _diag_matrix(s.d, m.rows, m.cols).entries
     # Nonnegative divisibility chain, zeros trailing.
     for a, b in zip(s.d, s.d[1:]):
         assert a >= 0
@@ -88,18 +103,30 @@ def test_snf_matches_sympy(m):
     assert [x for x in s.d if x] == theirs
 
 
+def boundaries(obj):
+    """d_1 .. d_top as the library assembles them for its Smith fallback,
+    each equal to the oracle's matrix on the same simplex bases."""
+    chains = hom._chains_of(obj)
+    mats = []
+    for k in range(1, chains.top + 1):
+        rows = chains.dense(k)
+        assert rows == boundary_from_layers(chains.cells(k - 1), chains.cells(k))
+        mats.append(v.IntegerMatrix.from_rows(rows, cols=chains.n(k)))
+    return mats
+
+
 def test_boundary_edge_orientation():
     seg = v.clique_complex(relation(space_of_size(2), [(0, 1), (1, 0)]), 1)
-    (d1,) = v.boundary_matrices(seg)
+    (d1,) = boundaries(seg)
     assert d1.entries == ((-1,), (1,))
 
 
 @given(explicit_complexes(max_points=6))
 @settings(max_examples=60, deadline=None)
 def test_boundary_squares_to_zero(k):
-    mats = v.boundary_matrices(k)
+    mats = boundaries(k)
     for lower, upper in zip(mats, mats[1:]):
-        prod = lower.mul(upper)
+        prod = matmul(lower, upper)
         assert all(x == 0 for row in prod.entries for x in row)
 
 
@@ -108,7 +135,7 @@ def test_relative_boundary_shapes():
     tri = v.clique_complex(full_relation(space), 2)
     rim = v.explicit_complex(space, [(0, 1), (1, 2), (0, 2)], max_dim=2)
     pair = v.ComplexPair(tri, rim)
-    shapes = [(m.rows, m.cols) for m in v.boundary_matrices(pair)]
+    shapes = [(m.rows, m.cols) for m in boundaries(pair)]
     assert shapes == [(0, 0), (0, 1)]
 
 
@@ -234,3 +261,24 @@ def test_coefficient_validation():
     assert v.prime_field(2).describe() == "F2"
     assert v.INTEGERS.describe() == "Z"
     assert not v.INTEGERS.is_field and v.RATIONALS.is_field
+
+
+def test_primality_matches_a_sieve():
+    n = 10**5
+    sieve = [True] * n
+    sieve[0] = sieve[1] = False
+    for i in range(2, int(n**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, n, i))
+    assert [hom._is_prime(i) for i in range(n)] == sieve
+
+
+twenty_digits = st.integers(10**19, 10**20 - 1)
+ten_digits = st.integers(10**9, 10**10 - 1).map(sympy.nextprime)
+
+
+@given(st.one_of(twenty_digits, twenty_digits.map(sympy.nextprime),
+                 st.tuples(ten_digits, ten_digits).map(lambda pq: pq[0] * pq[1])))
+@settings(max_examples=200, deadline=None)
+def test_primality_matches_sympy_on_20_digit_numbers(n):
+    assert hom._is_prime(n) == sympy.isprime(n)

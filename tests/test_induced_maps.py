@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vrips as v
-from vrips.relations import full_relation, relation, space_of_size
+from vrips.relations import relation, space_of_size
 from conftest import symmetric_relations
+from oracles import full_relation
 
 
 def hollow_triangle():

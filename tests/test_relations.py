@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 import vrips as v
 from vrips.relations import (
     closing_offset,
-    diagonal,
-    full_relation,
     is_symmetric,
     relation,
     space_of_size,
@@ -24,6 +22,8 @@ from oracles import (
     brute_pq_continuous,
     brute_scale_pairs,
     brute_values,
+    diagonal,
+    full_relation,
     shifted_metric,
     smallest_positive_gap,
     truncated_metric,
@@ -128,6 +128,20 @@ def test_scale_index_matches_brute_scans(d):
 ])
 def test_scale_index_on_int_float_and_mixed_tables(rows):
     _check_scale_index(v.SemiPseudometric(space_of_size(len(rows)), rows))
+
+
+@pytest.mark.parametrize("rows, q", [
+    # the next distance above q is +inf
+    (((0, 1, math.inf), (1, 0, 2), (math.inf, 2, 0)), 2),
+    # 0.1 lies just above 1/10, closer than float arithmetic can tell
+    (((0, Fraction(1, 10), 0.1), (Fraction(1, 10), 0, 1), (0.1, 1, 0)), Fraction(1, 10)),
+])
+def test_closing_offset_makes_the_strict_relation_closed(rows, q):
+    d = v.SemiPseudometric(space_of_size(len(rows)), rows)
+    off = closing_offset(d, q)
+    closed = brute_scale_pairs(rows, q, "closed") | diagonal(d.space).pairs
+    assert v.metric_relation(d, q + off, "strict").pairs == closed
+    assert v.scale_base(d, q, [off]).minimum().pairs == closed
 
 
 @given(metrics(max_points=5), st.sampled_from([Fraction(k, 4) for k in range(9)]),

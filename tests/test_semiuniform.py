@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vrips as v
-from vrips.relations import full_relation, metric_relation, relation, space_of_size
+from vrips.relations import metric_relation, relation, space_of_size
 import vrips.semiuniform as su
 from vrips.semiuniform import NoMinimumError, interval_space
 from conftest import circle_metric, metrics
-from oracles import brute_scale_pairs, interval_table
+from oracles import brute_scale_pairs, full_relation, interval_table
 
 
 HALF = Fraction(1, 2)
