@@ -71,13 +71,14 @@ def _document_command(command: str, kinds: tuple[str, ...], wrong_kind: str):
     """Turn compute(args, doc, coeffs, subset) into a JSON document command.
 
     compute gets the loaded document, the coefficients and the sorted
-    --subset (None without one). It returns its own parameters, the
-    homology to report below the cap, and any further results.
+    distinct --subset points (None without one). It returns its own
+    parameters, the homology to report below the cap, and any further
+    results.
     """
     def wrap(compute):
         def run(args, out) -> int:
             doc, coeffs = _load(args, kinds, wrong_kind)
-            subset = sorted(args.subset) if getattr(args, "subset", None) else None
+            subset = sorted(set(args.subset)) if getattr(args, "subset", None) else None
             own, result, extra = compute(args, doc, coeffs, subset)
             params = {"input": args.input, "max_dim": args.max_dim,
                       "coefficients": args.coeffs, "reduced": args.reduced}

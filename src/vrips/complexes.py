@@ -8,14 +8,15 @@ which is what lets homology flag an unreliable top dimension.
 
 Every complex comes from one of two builders. Flag growth (vr_complex,
 which clique_complex calls after refusing non-symmetric input) extends
-(k-1)-cliques by a later neighbor shared with every clique vertex, never
-scanning all vertex subsets; non-symmetric input also goes through a
-greedy source-elimination test that recognizes vertex sets admitting a
-total order with all forward pairs related. Face closure (explicit
-complexes, witness complexes of covers and nerves) takes every face of a
-family of vertex sets. The nerve is the face closure of the points' stars
-{i : x in U_i}, the Dowker dual of the witness complex, which closes the
-cover's sets. The subcomplex of a pair is a full subcomplex of the total.
+(k-1)-cliques by a later neighbour shared with every clique vertex, on
+per-point neighbour bitmasks, never scanning all vertex subsets;
+non-symmetric input also goes through a greedy source-elimination test
+that recognizes vertex sets admitting a total order with all forward
+pairs related. Face closure (explicit complexes, witness complexes of
+covers and nerves) takes every face of a family of vertex sets. The
+nerve is the face closure of the points' stars {i : x in U_i}, the
+Dowker dual of the witness complex, which closes the cover's sets. The
+subcomplex of a pair is a full subcomplex of the total.
 
 A SimplicialComplex built directly checks its layers in full. The
 builders here make them sorted and face-closed, so they check only the
@@ -179,25 +180,29 @@ def vr_complex(u: Relation, max_dim: int) -> SimplicialComplex:
     pair related; diagonal pairs are ignored by the order test. On
     symmetric relations this is the clique complex.
     """
-    # Flag growth: a k-simplex extends a (k-1)-simplex by a later vertex
-    # related, in some direction, to every vertex of it. Non-symmetric
+    # Flag growth on neighbour bitmasks: a k-simplex extends a (k-1)-simplex
+    # by a later vertex related, in some direction, to every vertex of it,
+    # taken lowest bit first, so each layer comes out sorted. Non-symmetric
     # relations also need a source order on the extended set.
     n = u.space.size
-    pairs = u.pairs
-    ordered = not is_symmetric(u)
-    nbr_above = [
-        frozenset(j for j in range(i + 1, n) if (i, j) in pairs or (j, i) in pairs)
-        for i in range(n)
-    ]
+    out, inn = [0] * n, [0] * n
+    for i, j in u.pairs:
+        out[i] |= 1 << j
+        inn[j] |= 1 << i
+    ordered = out != inn
+    above = [(out[i] | inn[i]) >> (i + 1) << (i + 1) for i in range(n)]
     layers = [[(i,) for i in range(n)]]
-    frontier = [((i,), nbr_above[i]) for i in range(n)]
+    frontier = [((i,), above[i]) for i in range(n)]
     for _ in range(max_dim):
         grown = []
         for simplex, cand in frontier:
-            for j in sorted(cand):
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                j = low.bit_length() - 1
                 ext = simplex + (j,)
-                if not ordered or _has_source_order(ext, pairs):
-                    grown.append((ext, cand & nbr_above[j]))
+                if not ordered or _has_source_order(ext, out):
+                    grown.append((ext, cand & above[j]))
         if not grown:
             break
         layers.append([s for s, _ in grown])
@@ -208,20 +213,18 @@ def vr_complex(u: Relation, max_dim: int) -> SimplicialComplex:
                                       complete=len(layers) - 1 < max_dim or max_dim >= n - 1)
 
 
-def _has_source_order(vs: Simplex, pairs) -> bool:
-    # Greedy source elimination: repeatedly remove a vertex with forward
-    # pairs to everything remaining. Faces of recognized sets are always
-    # recognized, so the greedy choice is never wrong.
+def _has_source_order(vs: Simplex, out) -> bool:
+    # Greedy source elimination on out-neighbour masks: repeatedly remove a
+    # vertex with forward pairs to everything remaining. Faces of recognized
+    # sets are always recognized, so the greedy choice is never wrong.
     active = list(vs)
-    out = {v: sum(1 for w in active if w != v and (v, w) in pairs) for v in active}
-    for size in range(len(active), 1, -1):
-        src = next((v for v in active if out[v] == size - 1), None)
+    rest = sum(1 << v for v in active)
+    while len(active) > 1:
+        src = next((v for v in active if (out[v] | 1 << v) & rest == rest), None)
         if src is None:
             return False
         active.remove(src)
-        for v in active:
-            if (v, src) in pairs:
-                out[v] -= 1
+        rest ^= 1 << src
     return True
 
 

@@ -14,10 +14,11 @@ and ties are never fuzzed. Callers control the boundary by choosing the
 mode and the numeric type (int, Fraction, float) of their distances.
 
 A distance table is checked and sorted once, when it is built, on exact
-integer keys; relations and bases check themselves whenever built. Every
-scale query after that is a bisection of the sorted distances: a scale
-relation is a prefix of the sorted pairs, and the distinct values are
-stored, not recomputed.
+integer keys. Every scale query after that is a bisection of the sorted
+distances: a scale relation is a prefix of the sorted pairs, and the
+distinct values are stored, not recomputed. Scale relations, graph
+relations and scale bases built from checked input are trusted; every
+other relation and base checks itself when built.
 """
 
 from __future__ import annotations
@@ -157,11 +158,19 @@ class Relation:
         object.__setattr__(self, "pairs", frozenset(self.pairs))
         n = self.space.size
         for i, j in self.pairs:
-            if not (0 <= i < n and 0 <= j < n):
-                raise IndexError(f"pair ({i},{j}) out of range for {n} points")
+            if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < n and 0 <= j < n):
+                raise IndexError(f"pair ({i!r},{j!r}) out of range for {n} points")
         missing = [i for i in range(n) if (i, i) not in self.pairs]
         if missing:
             raise ValueError(f"relation is missing diagonal pairs at {missing}")
+
+    @classmethod
+    def _trusted(cls, space: FiniteSpace, pairs: frozenset) -> "Relation":
+        """A relation from integer pairs in range that hold the diagonal by construction."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "space", space)
+        object.__setattr__(r, "pairs", pairs)
+        return r
 
     def contains(self, i: int, j: int) -> bool:
         return (i, j) in self.pairs
@@ -210,9 +219,14 @@ def metric_relation(d: SemiPseudometric, q, mode: str = "closed") -> Relation:
         raise ValueError("scale must be nonnegative")
     if mode not in ("strict", "closed"):
         raise ValueError(f"unknown mode {mode!r}: expected 'strict' or 'closed'")
-    cut = (bisect_left if mode == "strict" else bisect_right)(d._index.dists, q)
+    return _scale_relation(d, (bisect_left if mode == "strict" else bisect_right)(d._index.dists, q))
+
+
+def _scale_relation(d: SemiPseudometric, cut: int) -> Relation:
+    # The first cut sorted pairs i < j, their reverses and the diagonal.
     near = d._index.pairs[:cut]
-    return relation(d.space, near + tuple((j, i) for i, j in near))
+    return Relation._trusted(d.space, frozenset(
+        (*near, *((j, i) for i, j in near), *((i, i) for i in d.space.points()))))
 
 
 def graph_relation(edges, space: FiniteSpace, directed: bool = False) -> Relation:
@@ -220,12 +234,13 @@ def graph_relation(edges, space: FiniteSpace, directed: bool = False) -> Relatio
     pairs = set()
     n = space.size
     for i, j in edges:
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError(f"edge ({i},{j}) out of range for {n} points")
+        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < n and 0 <= j < n):
+            raise IndexError(f"edge ({i!r},{j!r}) out of range for {n} points")
         pairs.add((i, j))
         if not directed:
             pairs.add((j, i))
-    return relation(space, pairs)
+    pairs.update((i, i) for i in space.points())
+    return Relation._trusted(space, frozenset(pairs))
 
 
 def product_relation(u: Relation, v: Relation) -> Relation:
@@ -334,9 +349,14 @@ def scale_base(d: SemiPseudometric, q, deltas) -> SemiUniformBase:
         raise ValueError("offsets must be positive")
     if q < 0:
         raise ValueError("scale must be nonnegative")
-    return SemiUniformBase.from_members(
-        [metric_relation(d, q + off, mode="strict") for off in offs]
-    )
+    # Nested symmetric members are directed and closed under inverses, and
+    # two offsets give one member exactly when they cut the sorted pairs at
+    # the same place; the first offset of each cut is kept.
+    cuts = dict.fromkeys(bisect_left(d._index.dists, q + off) for off in offs)
+    base = object.__new__(SemiUniformBase)
+    object.__setattr__(base, "space", d.space)
+    object.__setattr__(base, "members", tuple(_scale_relation(d, cut) for cut in cuts))
+    return base
 
 
 def closing_offset(d: SemiPseudometric, q) -> Fraction:

@@ -130,6 +130,15 @@ def test_graph_command(cycle_edges):
     assert doc["parameters"]["directed"] is False
 
 
+def test_repeated_subset_points_are_echoed_once(cycle_edges):
+    code, out, _ = run(["graph", cycle_edges, "--subset", "1", "0", "0"])
+    assert code == OK
+    doc = parse_result(out)
+    assert doc["parameters"]["subset"] == [0, 1]
+    code, once, _ = run(["graph", cycle_edges, "--subset", "0", "1"])
+    assert results_equal(doc, parse_result(once))
+
+
 def test_directed_graph_command(tmp_path):
     path = tmp_path / "chain.txt"
     path.write_text("a -> b\nb -> c\n")

@@ -1,5 +1,7 @@
 """Flag complexes, nerves, witness complexes, and simplicial maps."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,7 +98,7 @@ def test_clique_complex_rejects_asymmetric():
         v.clique_complex(rel, 1)
 
 
-@given(any_relations(max_points=4))
+@given(any_relations(max_points=6))
 @settings(max_examples=80, deadline=None)
 def test_directed_complex_matches_permutation_scan(rel):
     k = v.vr_complex(rel, 3)
@@ -109,6 +111,20 @@ def test_directed_complex_matches_permutation_scan(rel):
 @settings(max_examples=40, deadline=None)
 def test_directed_equals_clique_on_symmetric(rel):
     assert v.vr_complex(rel, 3).simplices == v.clique_complex(rel, 3).simplices
+
+
+@pytest.mark.parametrize("n, symmetric", [(66, True), (70, True), (66, False)])
+def test_flag_growth_past_one_machine_word(n, symmetric):
+    # More points than a 64-bit word holds, so neighbour masks span words.
+    rng = random.Random(n)
+    pairs = {(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < 0.12}
+    if symmetric:
+        pairs |= {(j, i) for i, j in pairs}
+    rel = relation(space_of_size(n), pairs)
+    brute = brute_clique_layers if symmetric else brute_directed_layers
+    expected = brute(n, rel.off_diagonal(), 2)
+    assert any(s[-1] >= 64 for s in expected[2])
+    assert [list(v.vr_complex(rel, 2).layer(d)) for d in range(3)] == expected
 
 
 def test_vr_complex_dispatch():

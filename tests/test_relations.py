@@ -78,6 +78,17 @@ def test_relation_always_contains_diagonal():
         relation(space, [(0, 5)])
 
 
+@pytest.mark.parametrize("x", [0.5, 1.0])
+def test_relations_refuse_non_integer_indices(x):
+    space = space_of_size(2)
+    with pytest.raises(IndexError):
+        v.Relation(space, frozenset({(0, 0), (1, 1), (x, 0)}))
+    with pytest.raises(IndexError):
+        relation(space, [(0, x)])
+    with pytest.raises(IndexError):
+        v.graph_relation([(x, 0)], space)
+
+
 def test_metric_relation_tie_goes_to_closed(square_metric):
     q = Fraction(1)
     closed = v.metric_relation(square_metric, q, mode="closed")
@@ -106,7 +117,8 @@ def _check_scale_index(d):
     for q in _probe_scales(d):
         for mode in ("strict", "closed"):
             rel = v.metric_relation(d, q, mode=mode)
-            assert rel.pairs == brute_scale_pairs(d.dist, q, mode) | diagonal(d.space).pairs
+            checked = v.Relation(d.space, brute_scale_pairs(d.dist, q, mode) | diagonal(d.space).pairs)
+            assert rel == checked == v.Relation(rel.space, rel.pairs)
         above = [x for x in brute_values(d.dist) if x > q]
         assert closing_offset(d, q) == (Fraction(min(above) - q) / 2 if above else Fraction(1))
 
@@ -171,6 +183,17 @@ def test_graph_relation_directions():
     assert und.contains(0, 1) and und.contains(1, 0)
     dir_ = v.graph_relation([(0, 1)], space, directed=True)
     assert dir_.contains(0, 1) and not dir_.contains(1, 0)
+
+
+@given(st.integers(1, 6), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_graph_relation_equals_the_checked_build(n, directed, data):
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+                      label="edges")
+    space = space_of_size(n)
+    rel = v.graph_relation(edges, space, directed=directed)
+    pairs = set(edges) if directed else set(edges) | {(j, i) for i, j in edges}
+    assert rel == relation(space, pairs) == v.Relation(space, rel.pairs)
 
 
 def test_product_relation_indexing():
@@ -263,6 +286,29 @@ def test_scale_base_total_order(square_metric):
         v.scale_base(square_metric, 1, [])
     with pytest.raises(ValueError):
         v.scale_base(square_metric, 1, [0])
+
+
+_OFFSETS = st.sampled_from([Fraction(k, 8) for k in range(1, 13)])
+
+
+@given(metrics(max_points=6), st.lists(_OFFSETS, min_size=1, max_size=6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_scale_base_equals_the_checked_build(d, deltas, data):
+    q = data.draw(st.sampled_from(_probe_scales(d)), label="q")
+    strict = [v.Relation(d.space, brute_scale_pairs(d.dist, q + off, "strict") | diagonal(d.space).pairs)
+              for off in sorted(deltas)]
+    base = v.scale_base(d, q, deltas)
+    assert base == v.SemiUniformBase.from_members(strict)
+    assert base == v.SemiUniformBase(d.space, base.members)
+
+
+def test_scale_base_keeps_one_member_per_relation(square_metric):
+    # Offsets 1/10 and 1/5 both stop below the diagonal distance sqrt(2).
+    deltas = [Fraction(1, 5), Fraction(1, 10), Fraction(1, 10), Fraction(1)]
+    base = v.scale_base(square_metric, Fraction(1), deltas)
+    assert [len(m.pairs) for m in base.members] == [12, 16]
+    assert base == v.SemiUniformBase.from_members(
+        [v.metric_relation(square_metric, 1 + off, "strict") for off in sorted(deltas)])
 
 
 def test_uniform_continuity_identity_and_collapse(square_metric):
