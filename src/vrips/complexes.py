@@ -26,7 +26,8 @@ cap; their inputs are checked where they enter.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .closure import Cover
 from .relations import FiniteSpace, Relation, is_symmetric
@@ -49,7 +50,6 @@ class SimplicialComplex:
     simplices: tuple[tuple[Simplex, ...], ...]
     max_dim: int
     complete: bool = True
-    _sets: tuple[frozenset, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._store(sorted(tuple(s) for s in layer) for layer in self.simplices)
@@ -72,9 +72,13 @@ class SimplicialComplex:
         while layers and not layers[-1]:
             layers.pop()
         object.__setattr__(self, "simplices", tuple(layers))
-        object.__setattr__(self, "_sets", tuple(frozenset(layer) for layer in layers))
         if self.max_dim < 0:
             raise ValueError("max_dim must be nonnegative")
+
+    @cached_property
+    def _sets(self) -> tuple[frozenset, ...]:
+        """The layers as sets, built on the first membership test."""
+        return tuple(frozenset(layer) for layer in self.simplices)
 
     @classmethod
     def _trusted(cls, space: FiniteSpace, layers, max_dim: int, complete: bool) -> "SimplicialComplex":

@@ -202,16 +202,6 @@ def parse_edge_list(text: str) -> SpaceDocument:
             edges.append((i, j))
     if not labels:
         raise ParseError("edge list names no points")
-    # Plain edges may predate the first arrow; mirror them once the
-    # document turns out to be directed.
-    if directed:
-        seen = set(edges)
-        for no, a, b, arrow in parsed:
-            if b is not None and not arrow:
-                i, j = index[a], index[b]
-                if (j, i) not in seen:
-                    edges.append((j, i))
-                    seen.add((j, i))
     return SpaceDocument(kind="graph", labels=tuple(labels), edges=tuple(edges),
                          directed=directed)
 

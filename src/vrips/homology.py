@@ -12,17 +12,19 @@ field. Nothing here ever touches floating point.
 
 One reducer per chain complex owns the walk over its degrees: the top
 down order, the clearing (a column of d_k whose index is a pivot row of
-d_{k+1} is known to reduce to zero and is skipped), the reduction
-records V kept for homology bases, and the integer fallback. Over the
-integers the loop runs while every pivot is +1 or -1; the pivot rows
-then form a unit triangular minor, so the rank is the pivot count and
-the group below has no torsion. A degree that meets any other pivot
-takes its rank and torsion from a dense Smith normal form instead. The
-public Smith form records its transforms in identity blocks bordering
-the matrix. Cohomology reduces the transposed (coboundary) columns from
-the bottom dimension up, on purpose apart from the reducer, so that
-comparing it with homology over a field checks one computation against
-another.
+d_{k+1} is an integer combination of earlier columns, so it is
+skipped), the reduction records V kept for homology bases, and the
+integer residual. Over the integers only +1 and -1 are pivots, so every
+operation is unimodular, and a column whose lowest entry is another
+integer is set aside as stuck (Dumas, Heckenbach, Saunders and Welker,
+2003). With nothing stuck the rank is the pivot count and the group
+below has no torsion. Otherwise the Smith form of what the stuck
+columns leave off the pivot rows adds its nonzero entries to the rank
+and its entries above 1 as torsion. The public Smith form records its
+transforms in identity blocks bordering the matrix. Cohomology reduces
+the transposed (coboundary) columns from the bottom dimension up, on
+purpose apart from the reducer, so that comparing it with homology over
+a field checks one computation against another.
 
 Induced maps are computed over a field only, relative to deterministic
 homology bases. In degree k the representatives are the reduction
@@ -122,6 +124,14 @@ def _field_modulus(coeffs: Coefficients, what: str) -> int | None:
 # integer matrices and Smith normal form
 
 
+def _integer(x) -> int:
+    """x as an int, refused unless it is exactly one."""
+    n = int(x)
+    if n != x:
+        raise ValueError(f"matrix entry {x!r} is not an integer")
+    return n
+
+
 @dataclass(frozen=True)
 class IntegerMatrix:
     rows: int
@@ -129,7 +139,7 @@ class IntegerMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(tuple(int(x) for x in row) for row in self.entries))
+        object.__setattr__(self, "entries", tuple(tuple(_integer(x) for x in row) for row in self.entries))
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise ValueError("entry grid does not match the declared shape")
 
@@ -160,93 +170,43 @@ class SNFResult:
 def _snf_core(a: list[list[int]], rows: int, cols: int) -> list[int]:
     """Diagonalise the top left rows x cols block of a in place.
 
-    Pivot search and elimination look at that block only, but every
-    operation acts on whole rows and columns of a, so blocks bordering
-    it record the transforms.
+    Pivot search and the divisibility test read that block only, but
+    every operation acts on whole rows and columns of a, so blocks
+    bordering it record the transforms.
     """
-
-    def swap_rows(x, y):
-        a[x], a[y] = a[y], a[x]
-
-    def swap_cols(x, y):
-        for row in a:
-            row[x], row[y] = row[y], row[x]
-
-    def add_row(dst, src, q):
-        if q:
-            a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-
-    def add_col(dst, src, q):
-        if q:
-            for row in a:
-                row[dst] += q * row[src]
-
-    def negate_row(x):
-        a[x] = [-v for v in a[x]]
-
     size = min(rows, cols)
-    t = 0
-    while t < size:
-        # Pivot on the smallest magnitude so remainders shrink quickly.
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            row = a[i]
-            for j in range(t, cols):
-                v = row[j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if pivot is None:
-            break
-        if pivot != (t, t):
-            swap_rows(t, pivot[0])
-            swap_cols(t, pivot[1])
+    for t in range(size):
         while True:
+            least = min(((abs(x), i, j) for i in range(t, rows)
+                         for j, x in enumerate(a[i][t:cols], t) if x), default=None)
+            if least is None:
+                return [a[i][i] for i in range(size)]
+            _, i, j = least
+            a[t], a[i] = a[i], a[t]
+            for row in a:
+                row[t], row[j] = row[j], row[t]
             if a[t][t] < 0:
-                negate_row(t)
+                a[t] = [-x for x in a[t]]
             p = a[t][t]
-            restart = False
             for i in range(t + 1, rows):
-                if a[i][t]:
-                    add_row(i, t, -(a[i][t] // p))
-                    if a[i][t]:
-                        # Leftover remainder is strictly smaller: promote it.
-                        swap_rows(t, i)
-                        restart = True
-                        break
-            if restart:
-                continue
+                q = a[i][t] // p
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
             for j in range(t + 1, cols):
-                if a[t][j]:
-                    add_col(j, t, -(a[t][j] // p))
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        restart = True
-                        break
-            if restart:
+                q = a[t][j] // p
+                if q:
+                    for row in a:
+                        row[j] -= q * row[t]
+            # A remainder left in row or column t is smaller than p, so the
+            # next pass pivots on something smaller.
+            if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][t + 1:cols]):
                 continue
-            p = a[t][t]
-            offender = None
-            for i in range(t + 1, rows):
-                row = a[i]
-                for j in range(t + 1, cols):
-                    if row[j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+            bad = next((i for i in range(t + 1, rows)
+                        if any(x % p for x in a[i][t + 1:cols])), None)
+            if bad is None:
                 break
-            # Fold the offending row in; column t stays clear because the
-            # offender's entry there is already zero.
-            add_row(t, offender, 1)
-        t += 1
-
+            # Row bad is zero in column t: p stays, and row t gets an entry p does not divide.
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
     return [a[i][i] for i in range(size)]
 
 
@@ -299,14 +259,14 @@ class _Reduction:
     pivots maps each pivot row to its reduced column, normalised to 1 at
     that row. When V is kept, records maps the same rows to the matching
     columns of V, and cycles lists (index, V column) for the columns
-    that reduced to zero. stalled marks an integral reduction that
-    stopped at a pivot other than +1 or -1; its pivots so far are valid.
+    that reduced to zero. stuck lists the reduced columns of an integral
+    reduction whose lowest entry is not +1 or -1; they hold no pivot.
     """
 
     pivots: dict
-    records: dict | None = None
-    cycles: list | None = None
-    stalled: bool = False
+    records: dict | None
+    cycles: list | None
+    stuck: list
 
 
 def _reduce(columns, p: int | None, clear=(), keep_v: bool = False,
@@ -315,13 +275,14 @@ def _reduce(columns, p: int | None, clear=(), keep_v: bool = False,
 
     Columns hold nonzero entries only. p None works over the rationals,
     otherwise modulo the prime p. Columns whose index is in clear are
-    skipped: the caller knows they reduce to zero. integral stops at the
-    first pivot that is not a unit over the integers, so everything
-    before it stays integral.
+    skipped: the caller knows they reduce to zero. integral pivots on +1
+    and -1 only, so everything stays integral: a column whose lowest
+    entry is any other integer goes to stuck, and the loop moves on.
     """
     pivots: dict = {}
     records: dict | None = {} if keep_v else None
     cycles: list | None = [] if keep_v else None
+    stuck: list = []
     for j, col in enumerate(columns):
         if j in clear:
             continue
@@ -343,7 +304,8 @@ def _reduce(columns, p: int | None, clear=(), keep_v: bool = False,
         a = col[low]
         if a != 1:
             if integral and a != -1:
-                return _Reduction(pivots, records, cycles, stalled=True)
+                stuck.append(col)
+                continue
             inv = pow(a, -1, p) if p else (-1 if a == -1 else 1 / Fraction(a))
             col = _clean({r: x * inv for r, x in col.items()}, p)
             if keep_v:
@@ -351,7 +313,7 @@ def _reduce(columns, p: int | None, clear=(), keep_v: bool = False,
         pivots[low] = col
         if keep_v:
             records[low] = v
-    return _Reduction(pivots, records, cycles)
+    return _Reduction(pivots, records, cycles, stuck)
 
 
 # --------------------------------------------------------------------------
@@ -401,14 +363,6 @@ class _Chains:
             for i, x in col.items():
                 co[i][j] = x
         return co
-
-    def dense(self, k: int) -> list[list[int]]:
-        """d_k as plain rows, one per (k-1)-cell."""
-        grid = [[0] * self.n(k) for _ in self.cells(k - 1)]
-        for j, col in enumerate(self.columns(k)):
-            for i, x in col.items():
-                grid[i][j] = x
-        return grid
 
 
 def _whole(obj) -> SimplicialComplex:
@@ -561,8 +515,8 @@ class _Reducer:
     homology. reduction(k) clears degree k with the pivots of
     reduction(k + 1), so asking from the top degree down reduces each
     boundary once; rank and basis read the same reductions. An integral
-    reducer works over Z: a degree whose reduction stalls at a non-unit
-    pivot takes its rank and torsion from a dense Smith normal form.
+    reducer works over Z: rank adds the Smith form of the residual that
+    the stuck columns leave beside the unit pivots.
     """
 
     def __init__(self, chains: _Chains, p: int | None, integral: bool = False):
@@ -583,10 +537,22 @@ class _Reducer:
     def rank(self, k: int) -> tuple[int, tuple[int, ...]]:
         """Rank of d_k and the torsion it leaves in degree k - 1."""
         red = self.reduction(k)
-        if not red.stalled:
+        if not red.stuck:
             return len(red.pivots), ()
-        diag = _snf_core(self.chains.dense(k), self.chains.n(k - 1), self.chains.n(k))
-        return sum(1 for v in diag if v), tuple(v for v in diag if v > 1)
+        # Clear the pivot rows from the stuck columns in place, bottom row
+        # first: a pivot column touches no row below its own. The pivot
+        # rows then hold a unit triangular block and nothing else, so the
+        # Smith form of d_k is an identity beside that of the residual.
+        order = sorted(red.pivots, reverse=True)
+        for col in red.stuck:
+            for r in order:
+                c = col.get(r)
+                if c:
+                    _axpy(col, c, red.pivots[r], None)
+        rows = sorted({r for col in red.stuck for r in col})
+        residual = [[col.get(r, 0) for col in red.stuck] for r in rows]
+        diag = _snf_core(residual, len(rows), len(red.stuck))
+        return len(red.pivots) + sum(1 for x in diag if x), tuple(x for x in diag if x > 1)
 
     def basis(self, k: int) -> _DimBasis:
         if k not in self._bases:

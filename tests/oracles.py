@@ -11,7 +11,8 @@ comparing every entry of a table instead of bisecting its sorted pairs.
 The shifted and truncated tables that the scale tests build live here
 too, with the other helpers only tests use: the diagonal and full
 relations, a table from coordinates, writers for the three input
-formats, a reader for result documents, and the identity, transpose and
+formats, a reader for result documents, the barycentric subdivision of
+a complex (from its chains of faces), and the identity, transpose and
 product of integer matrices. Slow on purpose; only ever applied to
 small instances.
 """
@@ -26,9 +27,10 @@ import math
 import sys
 from fractions import Fraction
 
+from vrips.complexes import SimplicialComplex
 from vrips.documents import SCHEMA, ParseError, SpaceDocument
 from vrips.homology import IntegerMatrix
-from vrips.relations import FiniteSpace, Relation, SemiPseudometric, relation
+from vrips.relations import FiniteSpace, Relation, SemiPseudometric, relation, space_of_size
 
 
 def diagonal(space: FiniteSpace) -> Relation:
@@ -221,6 +223,28 @@ def brute_maximal(layers) -> list[tuple[int, ...]]:
     """Simplices contained in no other listed simplex, layer by layer."""
     every = [set(s) for layer in layers for s in layer]
     return [s for layer in layers for s in layer if not any(set(s) < t for t in every)]
+
+
+def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
+    """One vertex per simplex of k, numbered in layer order, and one
+    simplex per chain of faces, listed directly and checked in full."""
+    cells = [s for layer in k.simplices for s in layer]
+    index = {s: i for i, s in enumerate(cells)}
+
+    def chains_up_to(s):
+        """Chains whose largest member is s; a face comes before s in cells."""
+        out = [(index[s],)]
+        for size in range(1, len(s)):
+            for face in itertools.combinations(s, size):
+                out += [c + (index[s],) for c in chains_up_to(face)]
+        return out
+
+    layers: list[list[tuple[int, ...]]] = [[] for _ in k.simplices]
+    for s in cells:
+        for c in chains_up_to(s):
+            layers[len(c) - 1].append(c)
+    return SimplicialComplex(space_of_size(len(cells)), tuple(sorted(layer) for layer in layers),
+                             k.max_dim, k.complete)
 
 
 def identity_matrix(n: int) -> IntegerMatrix:

@@ -1,6 +1,7 @@
 """Smith normal form, boundary matrices, homology, cohomology."""
 
 import importlib
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -52,6 +53,15 @@ def test_integer_matrix_basics():
         matmul(m, identity_matrix(3))
 
 
+def test_integer_matrix_refuses_non_integer_entries():
+    for bad in (2.7, Fraction(5, 2), "3"):
+        with pytest.raises(ValueError, match="not an integer"):
+            v.smith_normal_form([[bad, 0], [0, 1]])
+    m = v.IntegerMatrix.from_rows([[3.0, Fraction(4, 2)], [-7, 0]])
+    assert m.entries == ((3, 2), (-7, 0))
+    assert all(type(x) is int for row in m.entries for x in row)
+
+
 def test_snf_hand_example():
     s = v.smith_normal_form([[2, 0], [0, 3]])
     assert s.d == (1, 6)
@@ -94,7 +104,7 @@ def test_snf_matches_determinantal_divisors(m):
     assert [x for x in s.d if x] == determinantal_divisors([list(r) for r in m.entries])
 
 
-@given(int_matrices(max_side=5))
+@given(int_matrices(max_side=8))
 @settings(max_examples=30, deadline=None)
 def test_snf_matches_sympy(m):
     s = v.smith_normal_form(m)
@@ -104,12 +114,13 @@ def test_snf_matches_sympy(m):
 
 
 def boundaries(obj):
-    """d_1 .. d_top as the library assembles them for its Smith fallback,
-    each equal to the oracle's matrix on the same simplex bases."""
+    """d_1 .. d_top laid out from the library's sparse columns, each
+    equal to the oracle's matrix on the same simplex bases."""
     chains = hom._chains_of(obj)
     mats = []
     for k in range(1, chains.top + 1):
-        rows = chains.dense(k)
+        cols = chains.columns(k)
+        rows = [[col.get(i, 0) for col in cols] for i in range(chains.n(k - 1))]
         assert rows == boundary_from_layers(chains.cells(k - 1), chains.cells(k))
         mats.append(v.IntegerMatrix.from_rows(rows, cols=chains.n(k)))
     return mats
