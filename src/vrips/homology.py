@@ -10,21 +10,26 @@ of R normalised to 1; the pivot count is the rank. Field arithmetic is
 exact: integers and Fractions for the rationals, residues for a prime
 field. Nothing here ever touches floating point.
 
-One reducer per chain complex owns the walk over its degrees: the top
+One reducer per complex (or pair) and ring owns its chain complex: the
+simplex bases, the boundary columns, the walk over the degrees in top
 down order, the clearing (a column of d_k whose index is a pivot row of
 d_{k+1} is an integer combination of earlier columns, so it is
 skipped), the reduction records V kept for homology bases, and the
-integer residual. Over the integers only +1 and -1 are pivots, so every
-operation is unimodular, and a column whose lowest entry is another
-integer is set aside as stuck (Dumas, Heckenbach, Saunders and Welker,
-2003). With nothing stuck the rank is the pivot count and the group
-below has no torsion. Otherwise the Smith form of what the stuck
+integer residual. A store that holds each complex weakly builds its
+reducers on first use, so homology, cohomology, induced maps and the
+long exact sequence all read the same columns and reductions, and they
+go when the complex does. Over the integers only +1 and -1 are pivots,
+so every operation is unimodular, and a column whose lowest entry is
+another integer is set aside as stuck (Dumas, Heckenbach, Saunders and
+Welker, 2003). With nothing stuck the rank is the pivot count and the
+group below has no torsion. Otherwise the Smith form of what the stuck
 columns leave off the pivot rows adds its nonzero entries to the rank
 and its entries above 1 as torsion. The public Smith form records its
-transforms in identity blocks bordering the matrix. Cohomology reduces
-the transposed (coboundary) columns from the bottom dimension up, on
-purpose apart from the reducer, so that comparing it with homology over
-a field checks one computation against another.
+transforms in identity blocks bordering the matrix. Cohomology
+transposes the reducer's boundary columns and reduces them from the
+bottom dimension up, on purpose apart from the reducer's reductions, so
+that comparing it with homology over a field checks one computation
+against another.
 
 Induced maps are computed over a field only, relative to deterministic
 homology bases. In degree k the representatives are the reduction
@@ -40,6 +45,7 @@ sequence check verifies exactness of the last three by rank counting.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -317,19 +323,43 @@ def _reduce(columns, p: int | None, clear=(), keep_v: bool = False,
 
 
 # --------------------------------------------------------------------------
-# chain complexes
+# the chain complex of a complex or a pair over one ring
 
 
-@dataclass(frozen=True)
-class _Chains:
-    """Simplex bases of a chain complex, with boundaries built on demand.
+class _Reducer:
+    """The chain complex of one complex or pair over one ring, reduced once.
 
-    bases[k] lists the dimension-k basis simplices (for a pair, the
-    total simplices outside the subcomplex).
+    bases[k] lists the degree-k basis simplices (for a pair, the total
+    simplices outside the subcomplex); cap and truncated_dim come from
+    the complex that sets the enumeration cap, the total of a pair. The
+    boundary columns, the reductions and the homology bases are built on
+    first use and kept, so homology, cohomology, induced maps and the
+    long exact sequence all read one reduction of each boundary. The
+    reducer holds no reference to its complex, so the store in _reducer
+    can drop it with the complex.
+
+    reduction(k) clears degree k with the pivots of reduction(k + 1), so
+    asking from the top degree down reduces each boundary once; rank,
+    basis and coords read the same reductions. An integral reducer works
+    over Z: rank adds the Smith form of the residual that the stuck
+    columns leave beside the unit pivots.
     """
 
-    bases: tuple[tuple[Simplex, ...], ...]
-    relative_nonempty: bool = False
+    def __init__(self, obj, p: int | None, integral: bool):
+        whole = obj.total if isinstance(obj, ComplexPair) else obj
+        if whole is obj:
+            self.bases = obj.simplices
+        else:
+            self.bases = tuple(tuple(s for s in layer if not obj.sub.has(s))
+                               for layer in whole.simplices)
+        self.relative_nonempty = whole is not obj and obj.sub.top_dim >= 0
+        self.cap = whole.max_dim
+        self.truncated_dim = None if whole.complete else whole.max_dim
+        self.p = p
+        self.integral = integral
+        self._columns: dict[int, list[dict]] = {}
+        self._reductions: dict[int, _Reduction] = {}
+        self._by_low: dict[int, dict] = {}
 
     @property
     def top(self) -> int:
@@ -338,49 +368,98 @@ class _Chains:
     def cells(self, k: int) -> tuple[Simplex, ...]:
         return self.bases[k] if 0 <= k <= self.top else ()
 
-    def n(self, k: int) -> int:
-        return len(self.cells(k))
-
     def columns(self, k: int) -> list[dict]:
         """Sparse columns of d_k; faces outside the lower basis drop out."""
-        if k < 1:
-            return [{} for _ in self.cells(k)]
-        index = {s: i for i, s in enumerate(self.cells(k - 1))}
-        cols = []
-        for s in self.cells(k):
-            col = {}
-            for drop in range(k + 1):
-                i = index.get(s[:drop] + s[drop + 1:])
-                if i is not None:
-                    col[i] = -1 if drop % 2 else 1
-            cols.append(col)
-        return cols
+        if k not in self._columns:
+            index = {s: i for i, s in enumerate(self.cells(k - 1))}
+            cols = []
+            for s in self.cells(k):
+                col = {}
+                for drop in range(k + 1):
+                    i = index.get(s[:drop] + s[drop + 1:])
+                    if i is not None:
+                        col[i] = -1 if drop % 2 else 1
+                cols.append(col)
+            self._columns[k] = cols
+        return self._columns[k]
 
-    def cocolumns(self, k: int) -> list[dict]:
-        """Sparse columns of the transpose of d_k, one per (k-1)-cell."""
-        co = [{} for _ in self.cells(k - 1)]
-        for j, col in enumerate(self.columns(k)):
-            for i, x in col.items():
-                co[i][j] = x
-        return co
+    def reduction(self, k: int, keep_v: bool = False) -> _Reduction:
+        red = self._reductions.get(k)
+        if red is None or (keep_v and red.records is None):
+            clear = self.reduction(k + 1).pivots if k < self.top else ()
+            red = _reduce(self.columns(k), self.p, clear, keep_v, self.integral)
+            self._reductions[k] = red
+        return red
+
+    def rank(self, k: int) -> tuple[int, tuple[int, ...]]:
+        """Rank of d_k and the torsion it leaves in degree k - 1."""
+        red = self.reduction(k)
+        if not red.stuck:
+            return len(red.pivots), ()
+        # Clear the pivot rows from the stuck columns in place, bottom row
+        # first: a pivot column touches no row below its own. The pivot
+        # rows then hold a unit triangular block and nothing else, so the
+        # Smith form of d_k is an identity beside that of the residual.
+        # A second call finds nothing left to clear.
+        order = sorted(red.pivots, reverse=True)
+        for col in red.stuck:
+            for r in order:
+                c = col.get(r)
+                if c:
+                    _axpy(col, c, red.pivots[r], None)
+        rows = sorted({r for col in red.stuck for r in col})
+        residual = [[col.get(r, 0) for col in red.stuck] for r in rows]
+        diag = _snf_core(residual, len(rows), len(red.stuck))
+        return len(red.pivots) + sum(1 for x in diag if x), tuple(x for x in diag if x > 1)
+
+    def basis(self, k: int) -> list[dict]:
+        """Representatives of a degree-k homology basis, over a field."""
+        return [v for _, v in self.reduction(k, keep_v=True).cycles]
+
+    def coords(self, k: int, vec: dict) -> tuple:
+        """Coordinates in basis(k) of a degree-k cycle, modulo boundaries.
+
+        Every reduced column of d_{k+1} and every representative is 1 at
+        its lowest row, and those rows are distinct, so back-substitution
+        on them reads the coordinates off.
+        """
+        by_low = self._by_low.get(k)
+        if by_low is None:
+            by_low = {low: (col, None) for low, col in self.reduction(k + 1).pivots.items()}
+            for idx, (j, v) in enumerate(self.reduction(k, keep_v=True).cycles):
+                by_low[j] = (v, idx)
+            self._by_low[k] = by_low
+        out = [_field_value(0, self.p)] * len(self.reduction(k).cycles)
+        w = dict(vec)
+        while w:
+            low = max(w)
+            hit = by_low.get(low)
+            if hit is None:
+                raise ValueError("vector is not a cycle modulo boundaries")
+            basis_vec, idx = hit
+            c = w[low]
+            _axpy(w, c, basis_vec, self.p)
+            if idx is not None:
+                out[idx] = _field_value(c, self.p)
+        return tuple(out)
 
 
-def _whole(obj) -> SimplicialComplex:
-    """The complex that sets the enumeration cap of a complex or a pair."""
-    return obj.total if isinstance(obj, ComplexPair) else obj
+_REDUCERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _chains_of(obj) -> _Chains:
-    if isinstance(obj, SimplicialComplex):
-        return _Chains(tuple(obj.simplices))
-    if isinstance(obj, ComplexPair):
-        sub = obj.sub
-        bases = tuple(
-            tuple(s for s in obj.total.layer(k) if not sub.has(s))
-            for k in range(obj.total.top_dim + 1)
-        )
-        return _Chains(bases, relative_nonempty=sub.top_dim >= 0)
-    raise TypeError(f"expected a complex or a pair, got {type(obj).__name__}")
+def _reducer(obj, p: int | None, integral: bool = False) -> _Reducer:
+    """The one reducer of a complex or pair over Z (integral), Q (p None)
+    or F_p, built on first use and dropped with the object.
+
+    Equal objects share their reducer, since the bases and the boundary
+    columns depend only on what the objects compare by.
+    """
+    if not isinstance(obj, (SimplicialComplex, ComplexPair)):
+        raise TypeError(f"expected a complex or a pair, got {type(obj).__name__}")
+    rings = _REDUCERS.setdefault(obj, {})
+    if (p, integral) not in rings:
+        rings[p, integral] = _Reducer(obj, p, integral)
+    return rings[p, integral]
 
 
 # --------------------------------------------------------------------------
@@ -417,154 +496,49 @@ def homology(obj, coeffs: Coefficients = INTEGERS, reduced: bool = False,
     boundaries from above the cap. The reduced flag lowers the rank of
     H_0 by one (no effect on a pair with a nonempty subcomplex).
     """
-    chains = _chains_of(obj)
-    whole = _whole(obj)
-    cap = whole.max_dim
-    p = _field_modulus(coeffs, "generator extraction") if with_generators else coeffs.p
-    reducer = _Reducer(chains, p, integral=not coeffs.is_field)
-    # Bases first and from the top down, so the ranks below reuse their
-    # reductions and every degree is reduced once.
-    bases = [reducer.basis(k) for k in range(cap, -1, -1)][::-1] if with_generators else None
+    red = _reducer(obj, coeffs.p, integral=not coeffs.is_field)
+    generators = None
+    if with_generators:
+        _field_modulus(coeffs, "generator extraction")
+        # Bases first and from the top down, so the ranks below reuse their
+        # reductions and every degree is reduced once.
+        generators = tuple(
+            tuple(tuple((red.cells(k)[i], _field_value(c, red.p)) for i, c in sorted(rep.items()))
+                  for rep in red.basis(k))
+            for k in range(red.cap, -1, -1)
+        )[::-1]
 
-    ranks = [0] * (cap + 2)
-    torsion: list[tuple[int, ...]] = [()] * (cap + 1)
-    for k in range(chains.top, 0, -1):
-        ranks[k], torsion[k - 1] = reducer.rank(k)
+    ranks = [0] * (red.cap + 2)
+    torsion: list[tuple[int, ...]] = [()] * (red.cap + 1)
+    for k in range(red.top, 0, -1):
+        ranks[k], torsion[k - 1] = red.rank(k)
 
-    betti = [chains.n(k) - ranks[k] - ranks[k + 1] for k in range(cap + 1)]
-    if reduced and chains.n(0) > 0 and not chains.relative_nonempty:
+    betti = [len(red.cells(k)) - ranks[k] - ranks[k + 1] for k in range(red.cap + 1)]
+    if reduced and red.cells(0) and not red.relative_nonempty:
         betti[0] -= 1
-
-    generators = None if bases is None else tuple(
-        tuple(
-            tuple((chains.bases[k][i], _field_value(c, p)) for i, c in sorted(rep.items()))
-            for rep in basis.reps
-        )
-        for k, basis in enumerate(bases)
-    )
-
-    return HomologyResult(
-        tuple(betti),
-        tuple(torsion),
-        generators=generators,
-        truncated_dim=None if whole.complete else cap,
-    )
+    return HomologyResult(tuple(betti), tuple(torsion), generators=generators,
+                          truncated_dim=red.truncated_dim)
 
 
 def cohomology(obj, coeffs: Coefficients) -> HomologyResult:
     """Cohomology over a field, reducing the coboundary columns."""
-    p = _field_modulus(coeffs, "cohomology")
-    chains = _chains_of(obj)
-    whole = _whole(obj)
-    cap = whole.max_dim
-    ranks = [0] * (cap + 2)
+    red = _reducer(obj, _field_modulus(coeffs, "cohomology"))
+    ranks = [0] * (red.cap + 2)
     cleared: dict = {}
-    for k in range(1, chains.top + 1):
-        red = _reduce(chains.cocolumns(k), p, cleared)
-        ranks[k] = len(red.pivots)
-        cleared = red.pivots
-    betti = tuple(chains.n(k) - ranks[k] - ranks[k + 1] for k in range(cap + 1))
-    return HomologyResult(
-        betti,
-        tuple(() for _ in range(cap + 1)),
-        truncated_dim=None if whole.complete else cap,
-    )
+    for k in range(1, red.top + 1):
+        co = [{} for _ in red.cells(k - 1)]
+        for j, col in enumerate(red.columns(k)):
+            for i, x in col.items():
+                co[i][j] = x
+        cleared = _reduce(co, red.p, cleared).pivots
+        ranks[k] = len(cleared)
+    betti = tuple(len(red.cells(k)) - ranks[k] - ranks[k + 1] for k in range(red.cap + 1))
+    return HomologyResult(betti, tuple(() for _ in range(red.cap + 1)),
+                          truncated_dim=red.truncated_dim)
 
 
 # --------------------------------------------------------------------------
-# homology bases and induced maps
-
-
-class _DimBasis:
-    """Homology basis in one dimension: representatives plus coordinates.
-
-    by_low maps the lowest row of every boundary basis vector and every
-    representative to (vector, index among the representatives, or None
-    for a boundary). Each vector is 1 at its lowest row.
-    """
-
-    def __init__(self, reps, by_low, p):
-        self.reps = reps
-        self._by_low = by_low
-        self._p = p
-
-    @property
-    def h(self) -> int:
-        return len(self.reps)
-
-    def coords(self, vec: dict) -> tuple:
-        out = [_field_value(0, self._p)] * self.h
-        w = dict(vec)
-        while w:
-            low = max(w)
-            hit = self._by_low.get(low)
-            if hit is None:
-                raise ValueError("vector is not a cycle modulo boundaries")
-            basis_vec, idx = hit
-            c = w[low]
-            _axpy(w, c, basis_vec, self._p)
-            if idx is not None:
-                out[idx] = _field_value(c, self._p)
-        return tuple(out)
-
-
-class _Reducer:
-    """The reductions of one chain complex, degree by degree.
-
-    This is the one place that walks the degrees of a chain complex for
-    homology. reduction(k) clears degree k with the pivots of
-    reduction(k + 1), so asking from the top degree down reduces each
-    boundary once; rank and basis read the same reductions. An integral
-    reducer works over Z: rank adds the Smith form of the residual that
-    the stuck columns leave beside the unit pivots.
-    """
-
-    def __init__(self, chains: _Chains, p: int | None, integral: bool = False):
-        self.chains = chains
-        self.p = p
-        self.integral = integral
-        self._reductions: dict[int, _Reduction] = {}
-        self._bases: dict[int, _DimBasis] = {}
-
-    def reduction(self, k: int, keep_v: bool = False) -> _Reduction:
-        red = self._reductions.get(k)
-        if red is None or (keep_v and red.records is None):
-            clear = self.reduction(k + 1).pivots if k < self.chains.top else ()
-            red = _reduce(self.chains.columns(k), self.p, clear, keep_v, self.integral)
-            self._reductions[k] = red
-        return red
-
-    def rank(self, k: int) -> tuple[int, tuple[int, ...]]:
-        """Rank of d_k and the torsion it leaves in degree k - 1."""
-        red = self.reduction(k)
-        if not red.stuck:
-            return len(red.pivots), ()
-        # Clear the pivot rows from the stuck columns in place, bottom row
-        # first: a pivot column touches no row below its own. The pivot
-        # rows then hold a unit triangular block and nothing else, so the
-        # Smith form of d_k is an identity beside that of the residual.
-        order = sorted(red.pivots, reverse=True)
-        for col in red.stuck:
-            for r in order:
-                c = col.get(r)
-                if c:
-                    _axpy(col, c, red.pivots[r], None)
-        rows = sorted({r for col in red.stuck for r in col})
-        residual = [[col.get(r, 0) for col in red.stuck] for r in rows]
-        diag = _snf_core(residual, len(rows), len(red.stuck))
-        return len(red.pivots) + sum(1 for x in diag if x), tuple(x for x in diag if x > 1)
-
-    def basis(self, k: int) -> _DimBasis:
-        if k not in self._bases:
-            up = self.reduction(k + 1).pivots
-            red = self.reduction(k, keep_v=True)
-            by_low = {low: (col, None) for low, col in up.items()}
-            reps = []
-            for j, v in red.cycles:
-                by_low[j] = (v, len(reps))
-                reps.append(v)
-            self._bases[k] = _DimBasis(reps, by_low, self.p)
-        return self._bases[k]
+# induced maps
 
 
 def _dot(xs, ys, p: int | None):
@@ -660,7 +634,7 @@ def _vertex_image(assignment):
 
 
 def _signed_faces(s: Simplex):
-    """(face, sign) for each face of s; _Chains.columns inlines this rule."""
+    """(face, sign) for each face of s; _Reducer.columns inlines this rule."""
     return [(s[:drop] + s[drop + 1:], -1 if drop % 2 else 1) for drop in range(len(s))]
 
 
@@ -672,11 +646,11 @@ def _chain_map(dom: _Reducer, cod: _Reducer, image, k: int, j: int):
     the lookup, so cells that cancel need not be codomain cells; every
     cell that survives must be a degree-j basis cell of the codomain.
     """
-    cb = cod.basis(j)
-    cod_index = {s: i for i, s in enumerate(cod.chains.cells(j))}
-    dom_cells = dom.chains.cells(k)
+    h = len(cod.basis(j))
+    cod_index = {s: i for i, s in enumerate(cod.cells(j))}
+    dom_cells = dom.cells(k)
     cols = []
-    for rep in dom.basis(k).reps:
+    for rep in dom.basis(k):
         w: dict = {}
         for i, c in rep.items():
             for t, x in image(dom_cells[i]):
@@ -687,8 +661,8 @@ def _chain_map(dom: _Reducer, cod: _Reducer, image, k: int, j: int):
             if i is None:
                 raise ValueError(f"chain image {t} is not a codomain basis cell")
             vec[i] = x
-        cols.append(cb.coords(vec))
-    return _transpose(cols, cb.h)
+        cols.append(cod.coords(j, vec))
+    return _transpose(cols, h)
 
 
 def induced_map(f, coeffs: Coefficients, top_dim: int | None = None) -> InducedMapResult:
@@ -697,8 +671,8 @@ def induced_map(f, coeffs: Coefficients, top_dim: int | None = None) -> InducedM
     Passing a ComplexPair gives the map from the total complex's
     homology to the relative homology; passing an Inclusion gives the
     map a complex (or pair) induces into a larger one. Dimensions run to
-    top_dim when given, else to the highest dimension both sides compute
-    exactly.
+    top_dim, which may not exceed the highest dimension both sides
+    compute exactly, its default.
     """
     p = _field_modulus(coeffs, "induced maps")
     if isinstance(f, SimplicialVertexMap):
@@ -712,17 +686,21 @@ def induced_map(f, coeffs: Coefficients, top_dim: int | None = None) -> InducedM
         image = _quotient_image(cod.sub) if isinstance(cod, ComplexPair) else _identity_image
     else:
         raise TypeError("induced_map expects a SimplicialVertexMap, a ComplexPair or an Inclusion")
-    top = min(dom.reliable_top, cod.reliable_top) if top_dim is None else top_dim
+    reliable = min(dom.reliable_top, cod.reliable_top)
+    top = reliable if top_dim is None else top_dim
     if top < 0:
         raise ValueError("no dimension is reliably computable at this cap")
-    dom_red, cod_red = _Reducer(_chains_of(dom), p), _Reducer(_chains_of(cod), p)
+    if top > reliable:
+        raise ValueError(f"top_dim {top} is above {reliable}, the highest dimension "
+                         "both sides compute exactly at this cap")
+    dom_red, cod_red = _reducer(dom, p), _reducer(cod, p)
     # Top degree first, so every boundary is reduced once (see _Reducer).
     mats = [_chain_map(dom_red, cod_red, image, k, k) for k in range(top, -1, -1)]
     return InducedMapResult(
         coeffs,
         tuple(reversed(mats)),
-        tuple(dom_red.basis(k).h for k in range(top + 1)),
-        tuple(cod_red.basis(k).h for k in range(top + 1)),
+        tuple(len(dom_red.basis(k)) for k in range(top + 1)),
+        tuple(len(cod_red.basis(k)) for k in range(top + 1)),
     )
 
 
@@ -765,9 +743,9 @@ def check_les_exactness(p: ComplexPair, coeffs: Coefficients, top_dim: int) -> L
     if p.total.max_dim < top_dim + 1:
         raise ValueError("enumerate the pair to top_dim + 1 before checking exactness")
 
-    red_total = _Reducer(_chains_of(p.total), mod)
-    red_sub = _Reducer(_chains_of(p.sub), mod)
-    red_rel = _Reducer(_chains_of(p), mod)
+    red_total = _reducer(p.total, mod)
+    red_sub = _reducer(p.sub, mod)
+    red_rel = _reducer(p, mod)
 
     # Top degree first, so every boundary is reduced once (see _Reducer).
     down = range(top_dim, -1, -1)
@@ -780,9 +758,9 @@ def check_les_exactness(p: ComplexPair, coeffs: Coefficients, top_dim: int) -> L
     rows = []
     failures = []
     for k in range(top_dim + 1):
-        h_sub = red_sub.basis(k).h
-        h_total = red_total.basis(k).h
-        h_rel = red_rel.basis(k).h
+        h_sub = len(red_sub.basis(k))
+        h_total = len(red_total.basis(k))
+        h_rel = len(red_rel.basis(k))
         ri = _mat_rank(incl[k], mod)
         rq = _mat_rank(quot[k], mod)
         rc = _mat_rank(conn[k], mod) if k >= 1 else 0
@@ -800,7 +778,7 @@ def check_les_exactness(p: ComplexPair, coeffs: Coefficients, top_dim: int) -> L
             failures.append(f"dim {k}: ranks {rq}+{rc} do not fill H_{k}(rel)={h_rel}")
         if k < top_dim:
             up = conn[k + 1]
-            if not _mat_is_zero(_mat_product(incl[k], up, red_rel.basis(k + 1).h, mod)):
+            if not _mat_is_zero(_mat_product(incl[k], up, len(red_rel.basis(k + 1)), mod)):
                 failures.append(f"dim {k}: inclusion after connecting is nonzero")
             ru = _mat_rank(up, mod)
             if ru + ri != h_sub:

@@ -116,13 +116,13 @@ def test_snf_matches_sympy(m):
 def boundaries(obj):
     """d_1 .. d_top laid out from the library's sparse columns, each
     equal to the oracle's matrix on the same simplex bases."""
-    chains = hom._chains_of(obj)
+    chains = hom._reducer(obj, None)
     mats = []
     for k in range(1, chains.top + 1):
         cols = chains.columns(k)
-        rows = [[col.get(i, 0) for col in cols] for i in range(chains.n(k - 1))]
+        rows = [[col.get(i, 0) for col in cols] for i in range(len(chains.cells(k - 1)))]
         assert rows == boundary_from_layers(chains.cells(k - 1), chains.cells(k))
-        mats.append(v.IntegerMatrix.from_rows(rows, cols=chains.n(k)))
+        mats.append(v.IntegerMatrix.from_rows(rows, cols=len(chains.cells(k))))
     return mats
 
 

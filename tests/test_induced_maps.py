@@ -106,6 +106,18 @@ def test_induced_map_requires_field(cycle4):
         v.induced_map("nonsense", v.RATIONALS)
 
 
+def test_induced_map_refuses_degrees_the_cap_cannot_support():
+    tri = v.clique_complex(v.graph_relation([(0, 1), (1, 2), (0, 2)], space_of_size(3)), 1)
+    assert tri.reliable_top == 0  # at cap 1 the filled triangle is unseen
+    for f in (v.Inclusion(tri, tri), v.simplicial_map(range(3), tri, tri)):
+        assert v.induced_map(f, v.RATIONALS, top_dim=0).is_identity()
+        for top in (1, 4):
+            with pytest.raises(ValueError, match="top_dim"):
+                v.induced_map(f, v.RATIONALS, top_dim=top)
+        with pytest.raises(ValueError):
+            v.induced_map(f, v.RATIONALS, top_dim=-1)
+
+
 def test_compose_mismatches_raise(cycle4):
     k = v.clique_complex(cycle4, 2)
     ident = v.induced_map(v.simplicial_map(range(4), k, k), v.RATIONALS)

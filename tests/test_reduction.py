@@ -8,6 +8,7 @@ known torsion, prime-field homology with the universal coefficient
 theorem, and homology bases with their defining properties.
 """
 
+import gc
 import importlib
 
 import pytest
@@ -151,13 +152,14 @@ def test_non_unit_pivot_leaves_a_residual_smith_form(rp2, monkeypatch):
     assert not calls, "a flag complex of a cycle needs only unit pivots"
 
 
-class MatrixChains:
-    """Stand-in for a chain complex whose one boundary, d_1, is the given
-    integer matrix."""
+class MatrixChains(hom._Reducer):
+    """Stand-in for an integral reducer whose one boundary, d_1, is the
+    given integer matrix."""
 
     top = 1
 
     def __init__(self, rows):
+        super().__init__(v.explicit_complex(space_of_size(1), [(0,)]), None, integral=True)
         self.cols = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(len(rows[0]))]
 
     def columns(self, k):
@@ -171,7 +173,7 @@ class MatrixChains:
 def test_residual_smith_form_of_any_integer_columns(rows):
     d = sympy_diagonal(rows)
     want = (sum(1 for x in d if x), tuple(x for x in d if x > 1))
-    assert hom._Reducer(MatrixChains(rows), None, integral=True).rank(1) == want
+    assert MatrixChains(rows).rank(1) == want
 
 
 @given(st.permutations(range(6)))
@@ -216,37 +218,37 @@ def mat_vec(rows, vec, p):
 @given(chain_objects(), st.sampled_from([None, 3]))
 @settings(max_examples=60, deadline=None)
 def test_homology_bases_are_bases(obj, p):
-    chains = hom._chains_of(obj)
-    reducer = hom._Reducer(chains, p)
+    reducer = hom._reducer(obj, p)
     mats = oracle_matrices(obj)
     rank = frac_rank if p is None else (lambda m: modp_rank(m, p))
     coeffs = v.RATIONALS if p is None else v.prime_field(p)
     betti = v.homology(obj, coeffs).betti
-    for k in range(chains.top, -1, -1):
-        basis = reducer.basis(k)
-        n = chains.n(k)
-        assert basis.h == betti[k]
+    for k in range(reducer.top, -1, -1):
+        reps = reducer.basis(k)
+        n = len(reducer.cells(k))
+        assert len(reps) == betti[k]
         down = mats[k - 1] if k >= 1 else [[0] * n]
         up = mats[k] if k < len(mats) else [[] for _ in range(n)]
-        for i, rep in enumerate(basis.reps):
+        for i, rep in enumerate(reps):
             assert not any(mat_vec(down, rep, p)), "representative is not a cycle"
-            unit = tuple(int(t == i) for t in range(basis.h))
-            assert basis.coords(rep) == unit
+            unit = tuple(int(t == i) for t in range(len(reps)))
+            assert reducer.coords(k, rep) == unit
         # Independent modulo boundaries: appending the representatives to
         # the boundary columns raises the rank by exactly h.
-        rep_rows = [[rep.get(r, 0) for rep in basis.reps] for r in range(n)]
+        rep_rows = [[rep.get(r, 0) for rep in reps] for r in range(n)]
         joined = [list(u) + r for u, r in zip(up, rep_rows)]
-        assert rank(joined) == rank(up) + basis.h
+        assert rank(joined) == rank(up) + len(reps)
         for j in range(len(up[0]) if up else 0):
             boundary = {r: up[r][j] % p if p else up[r][j] for r in range(n) if up[r][j]}
-            assert not any(basis.coords(boundary))
+            assert not any(reducer.coords(k, boundary))
         for j in range(n):
             if k >= 1 and any(row[j] for row in down):
                 with pytest.raises(ValueError, match="not a cycle"):
-                    basis.coords({j: 1})
+                    reducer.coords(k, {j: 1})
 
 
-def test_generators_reduce_each_degree_once(monkeypatch):
+def counting_reduce(mp):
+    """Record the columns of every _reduce call while mp is active."""
     calls = []
     reduce = hom._reduce
 
@@ -254,10 +256,15 @@ def test_generators_reduce_each_degree_once(monkeypatch):
         calls.append(list(columns))
         return reduce(columns, *args, **kwargs)
 
-    monkeypatch.setattr(hom, "_reduce", counting)
+    mp.setattr(hom, "_reduce", counting)
+    return calls
+
+
+def test_generators_reduce_each_degree_once(monkeypatch):
+    calls = counting_reduce(monkeypatch)
     k = v.clique_complex(v.graph_relation([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)],
                                           v.FiniteSpace(tuple("abcde"))), 3)
-    chains = hom._chains_of(k)
+    chains = hom._reducer(k, None)
     degrees = [chains.columns(d) for d in range(k.max_dim + 2)]
     for coeffs in (v.RATIONALS, v.prime_field(2)):
         calls.clear()
@@ -277,9 +284,80 @@ def test_connecting_faces_follow_the_boundary_sign_rule(k, data):
     are the columns of d_k: the two sign rules live apart for speed."""
     subset = data.draw(st.none() | st.frozensets(st.integers(0, k.space.size - 1), min_size=1))
     obj = k if subset is None else v.ComplexPair(k, v.full_subcomplex(k, subset))
-    chains = hom._chains_of(obj)
+    chains = hom._reducer(obj, None)
     for d in range(1, chains.top + 1):
         index = {s: i for i, s in enumerate(chains.cells(d - 1))}
         faces = [{index[f]: x for f, x in hom._signed_faces(s) if f in index}
                  for s in chains.cells(d)]
         assert faces == chains.columns(d)
+
+
+def test_shared_reductions_are_kept_apart_by_ring(rp2):
+    assert v.homology(rp2, v.RATIONALS).betti == (1, 0, 0)
+    hz = v.homology(rp2)
+    assert (hz.betti, hz.torsion) == ((1, 0, 0), ((), (2,), ()))
+    assert v.homology(rp2, v.prime_field(2)).betti == (1, 1, 1)
+    assert v.homology(rp2, v.prime_field(3)).betti == (1, 0, 0)
+    assert v.homology(rp2, v.RATIONALS).betti == (1, 0, 0)
+
+
+def test_a_second_homology_call_reduces_nothing(monkeypatch):
+    # Labels no other test uses, so no equal complex has reductions stored.
+    k = v.explicit_complex(v.FiniteSpace(tuple(f"again-{i}" for i in range(6))), RP2_FACES)
+    calls = counting_reduce(monkeypatch)
+    for coeffs in (v.INTEGERS, v.RATIONALS, v.prime_field(2)):
+        calls.clear()
+        first = v.homology(k, coeffs)
+        assert calls
+        calls.clear()
+        assert v.homology(k, coeffs) == first
+        assert not calls
+
+
+@given(chain_objects(), st.permutations(list(range(6)) * 2))
+@settings(max_examples=60, deadline=None)
+def test_calls_in_any_order_read_the_same_reductions(obj, order):
+    """Homology, cohomology and identity maps share one reducer per ring;
+    asked in any order, each still equals the oracles."""
+    q = betti_from_ranks(obj, frac_rank)
+    f3 = betti_from_ranks(obj, lambda m: modp_rank(m, 3))
+    z = dense_integer_homology(obj)
+    top = obj.reliable_top
+
+    def generators(coeffs, want):
+        gens = v.homology(obj, coeffs, with_generators=True).generators
+        return tuple(len(g) for g in gens) == want
+
+    def identity(coeffs, want):
+        m = v.induced_map(v.Inclusion(obj, obj), coeffs)
+        return m.is_identity() and m.domain_ranks == want[: top + 1]
+
+    checks = [
+        lambda: (v.homology(obj).betti, v.homology(obj).torsion) == z,
+        lambda: v.homology(obj, v.RATIONALS).betti == q and generators(v.RATIONALS, q),
+        lambda: generators(v.prime_field(3), f3) and v.homology(obj, v.prime_field(3)).betti == f3,
+        lambda: v.cohomology(obj, v.RATIONALS).betti == q,
+        lambda: v.cohomology(obj, v.prime_field(3)).betti == f3,
+        lambda: identity(v.RATIONALS, q) and identity(v.prime_field(3), f3),
+    ]
+    for i in order:
+        assert checks[i](), i
+
+
+def test_the_store_lets_go_of_dead_complexes():
+    space = v.FiniteSpace(("store-a", "store-b", "store-c", "store-d"))
+
+    def held():
+        return sum(1 for obj in hom._REDUCERS if getattr(obj, "total", obj).space == space)
+
+    k = v.explicit_complex(space, [(0, 1, 2), (2, 3)])
+    pair = v.ComplexPair(k, v.full_subcomplex(k, [0, 1]))
+    twin = v.explicit_complex(space, [(0, 1, 2), (2, 3)])
+    v.homology(k)
+    assert v.check_les_exactness(pair, v.RATIONALS, top_dim=1).exact
+    assert held() == 3  # the complex, its subcomplex and the pair
+    assert twin in hom._REDUCERS, "equal complexes share their reducers"
+    del k, pair
+    gc.collect()
+    assert held() == 0
+    assert twin not in hom._REDUCERS
