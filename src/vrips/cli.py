@@ -15,6 +15,12 @@ the coefficients and writes its own TSV.
 Reported betti numbers stop below the enumeration cap: with a cap of
 max_dim, dimensions 0 through max_dim - 1 are exact no matter what got
 truncated at the cap, so that is what the reports contain.
+
+Those groups are homotopy invariants of the flag complex, so where a
+command reports nothing else, it edge-collapses a symmetric relation
+before building the complex: graph without --subset, closure, and each
+sweep row. Pairs, non-symmetric relations and the scale towers of the
+homology command build the complex of the relation as given.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from .documents import (
 )
 from .complexes import ComplexPair, full_subcomplex, pair_complex, vr_complex
 from .homology import INTEGERS, RATIONALS, Coefficients, homology, prime_field
-from .relations import closing_offset, scale_base
+from .relations import closing_offset, collapse, is_symmetric, scale_base
 from .semiuniform import limit_homology
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 
@@ -121,15 +127,22 @@ def _cmd_homology(args, doc, coeffs, subset):
 def _cmd_graph(args, doc, coeffs, subset):
     rel = document_to_relation(doc)
     # For a symmetric relation this is the limit over its one-member base.
-    obj = vr_complex(rel, args.max_dim) if subset is None else pair_complex(rel, subset, args.max_dim)
+    if subset is not None:
+        obj = pair_complex(rel, subset, args.max_dim)
+    else:
+        # Undirected edges give a symmetric relation by construction.
+        if not doc.directed or is_symmetric(rel):
+            rel = collapse(rel)
+        obj = vr_complex(rel, args.max_dim)
     return {"directed": doc.directed}, homology(obj, coeffs, reduced=args.reduced), {}
 
 
 @_document_command("closure", ("closure",), "the closure command needs a closure document")
 def _cmd_closure(args, doc, coeffs, subset):
     c, cover = document_to_closure(doc), document_cover(doc)
+    # Both cover relations are symmetric.
     rel = ii_relation(c, cover) if args.relation == "interior" else vietoris_relation(cover)
-    result = homology(vr_complex(rel, args.max_dim), coeffs, reduced=args.reduced)
+    result = homology(vr_complex(collapse(rel), args.max_dim), coeffs, reduced=args.reduced)
     return {"relation": args.relation}, result, {}
 
 
@@ -139,10 +152,11 @@ def _cmd_sweep(args, out) -> int:
     scales = scale_range(args.scales)
     print("scale\t" + "\t".join(f"betti{k}" for k in range(args.max_dim)), file=out)
     for q in scales:
-        base = scale_base(d, q, [closing_offset(d, q)])
-        report = limit_homology(base, coeffs=coeffs, max_dim=args.max_dim,
-                                reduced=args.reduced)
-        row = [str(q)] + [str(b) for b in report.result.betti[: args.max_dim]]
+        # A one-member base: its limit is the homology of that member.
+        (member,) = scale_base(d, q, [closing_offset(d, q)]).members
+        result = homology(vr_complex(collapse(member), args.max_dim), coeffs,
+                          reduced=args.reduced)
+        row = [str(q)] + [str(b) for b in result.betti[: args.max_dim]]
         print("\t".join(row), file=out)
     return OK
 

@@ -332,11 +332,12 @@ class _Reducer:
     bases[k] lists the degree-k basis simplices (for a pair, the total
     simplices outside the subcomplex); cap and truncated_dim come from
     the complex that sets the enumeration cap, the total of a pair. The
-    boundary columns, the reductions and the homology bases are built on
-    first use and kept, so homology, cohomology, induced maps and the
-    long exact sequence all read one reduction of each boundary. The
-    reducer holds no reference to its complex, so the store in _reducer
-    can drop it with the complex.
+    boundary columns, the reductions, the Smith forms of the integer
+    residuals and the homology bases are built on first use and kept, so
+    homology, cohomology, induced maps and the long exact sequence all
+    read one reduction of each boundary. The reducer holds no reference
+    to its complex, so the store in _reducer can drop it with the
+    complex.
 
     reduction(k) clears degree k with the pivots of reduction(k + 1), so
     asking from the top degree down reduces each boundary once; rank,
@@ -359,6 +360,7 @@ class _Reducer:
         self.integral = integral
         self._columns: dict[int, list[dict]] = {}
         self._reductions: dict[int, _Reduction] = {}
+        self._residuals: dict[int, tuple[int, tuple[int, ...]]] = {}
         self._by_low: dict[int, dict] = {}
 
     @property
@@ -396,21 +398,24 @@ class _Reducer:
         red = self.reduction(k)
         if not red.stuck:
             return len(red.pivots), ()
-        # Clear the pivot rows from the stuck columns in place, bottom row
-        # first: a pivot column touches no row below its own. The pivot
-        # rows then hold a unit triangular block and nothing else, so the
-        # Smith form of d_k is an identity beside that of the residual.
-        # A second call finds nothing left to clear.
-        order = sorted(red.pivots, reverse=True)
-        for col in red.stuck:
-            for r in order:
-                c = col.get(r)
-                if c:
-                    _axpy(col, c, red.pivots[r], None)
-        rows = sorted({r for col in red.stuck for r in col})
-        residual = [[col.get(r, 0) for col in red.stuck] for r in rows]
-        diag = _snf_core(residual, len(rows), len(red.stuck))
-        return len(red.pivots) + sum(1 for x in diag if x), tuple(x for x in diag if x > 1)
+        if k not in self._residuals:
+            # Clear the pivot rows from the stuck columns in place, bottom
+            # row first: a pivot column touches no row below its own. The
+            # pivot rows then hold a unit triangular block and nothing else,
+            # so the Smith form of d_k is an identity beside that of the
+            # residual, which is kept as its rank and torsion.
+            order = sorted(red.pivots, reverse=True)
+            for col in red.stuck:
+                for r in order:
+                    c = col.get(r)
+                    if c:
+                        _axpy(col, c, red.pivots[r], None)
+            rows = sorted({r for col in red.stuck for r in col})
+            residual = [[col.get(r, 0) for col in red.stuck] for r in rows]
+            diag = _snf_core(residual, len(rows), len(red.stuck))
+            self._residuals[k] = sum(1 for x in diag if x), tuple(x for x in diag if x > 1)
+        rank, torsion = self._residuals[k]
+        return len(red.pivots) + rank, torsion
 
     def basis(self, k: int) -> list[dict]:
         """Representatives of a degree-k homology basis, over a field."""

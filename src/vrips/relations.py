@@ -6,7 +6,9 @@ SemiUniformBase is a finite family of such relations that is directed
 under intersection and closed under the inverse condition. Symmetric
 distance tables (no triangle inequality assumed) and edge lists provide
 the standard constructors, and the continuity checks reduce the usual
-quantifier definitions to finite scans.
+quantifier definitions to finite scans. collapse removes the dominated
+edges of a symmetric relation, which keeps the homotopy type of its
+flag complex.
 
 Scale comparisons are exact on the supplied numeric values: a strict
 relation at scale q keeps pairs with d < q, a closed one keeps d <= q,
@@ -207,6 +209,64 @@ def symmetric_part(u: Relation) -> Relation:
 
 def is_symmetric(u: Relation) -> bool:
     return all((j, i) in u.pairs for i, j in u.pairs)
+
+
+def collapse(u: Relation) -> Relation:
+    """A symmetric sub-relation of u on the same space, with no dominated edge,
+    whose flag complex is homotopy equivalent to the flag complex of u.
+
+    An edge {a, b} is dominated by a vertex w outside it when
+    N[a] & N[b] lies inside N[w], for closed neighbourhoods. Removing it
+    collapses the flag complex onto the flag complex of what is left
+    (Boissonnat and Pritam, "Edge collapse and persistence of flag
+    complexes", SoCG 2020), so homology over every ring is unchanged,
+    except at an enumeration cap, which sees only a skeleton. Edges are
+    removed until none is dominated; a non-symmetric relation is refused.
+    """
+    # Closed neighbourhoods as bitmasks, as vr_complex builds them. pend[a]
+    # holds the b whose edge {a, b} is still to check from a, lowest a and
+    # then lowest b first. Removing {a, b} shrinks the common neighbourhood
+    # only of the edges from a or b to a vertex adjacent to both, so only
+    # those are checked again.
+    n = u.space.size
+    nbr, inn = [0] * n, [0] * n
+    for i, j in u.pairs:
+        nbr[i] |= 1 << j
+        inn[j] |= 1 << i
+    if nbr != inn:
+        raise ValueError("edge collapse needs a symmetric relation")
+    pend = [m ^ 1 << a for a, m in enumerate(nbr)]
+    dirty = (1 << n) - 1
+    removed = []
+    while dirty:
+        bit_a = dirty & -dirty
+        dirty ^= bit_a
+        a = bit_a.bit_length() - 1
+        near, pending = nbr[a], pend[a]
+        while pending:
+            bit_b = pending & -pending
+            pending ^= bit_b
+            b = bit_b.bit_length() - 1
+            pend[b] &= ~bit_a
+            common = near & nbr[b]
+            rest = cand = common ^ (bit_a | bit_b)
+            while cand:
+                bit_w = cand & -cand
+                around = nbr[bit_w.bit_length() - 1]
+                if common & around == common:
+                    break
+                # A dominating vertex is adjacent to w, as w is in common.
+                cand &= around ^ bit_w
+            else:
+                continue
+            near ^= bit_b
+            nbr[b] ^= bit_a
+            pending |= rest
+            pend[b] |= rest
+            dirty |= bit_b
+            removed += ((a, b), (b, a))
+        nbr[a], pend[a] = near, 0
+    return Relation._trusted(u.space, u.pairs.difference(removed)) if removed else u
 
 
 def metric_relation(d: SemiPseudometric, q, mode: str = "closed") -> Relation:

@@ -157,26 +157,21 @@ def limit_homology(base: SemiUniformBase, subset=None, coeffs: Coefficients = IN
     """
     idx, m = _minimum_or_raise(base)
     obj = _object_at(m, subset, max_dim)
-    result = homology(obj, coeffs, reduced=reduced)
+    others = [(i, u) for i, u in enumerate(base.members) if i != idx]
+    # Over Z the members are compared with the minimum's unreduced groups.
+    # Over a field they go first: their inclusions reduce the minimum keeping
+    # the homology bases, and its homology then reads those reductions.
+    plain = None if coeffs.is_field else homology(obj, coeffs)
+    agreements = tuple(MemberAgreement(i, *_inclusion_agrees(obj, plain, u, subset, coeffs, max_dim))
+                       for i, u in others)
+    result = homology(obj, coeffs, reduced=reduced) if reduced or plain is None else plain
     coh = cohomology(obj, coeffs) if coeffs.is_field else None
-
     inclusions = tuple(
         (i, j)
         for i, u in enumerate(base.members)
         for j, v in enumerate(base.members)
         if i != j and u.pairs <= v.pairs
     )
-    # Over Z the members are compared with the minimum's unreduced groups.
-    plain = None if reduced else result
-    agreements = []
-    for i, u in enumerate(base.members):
-        if i == idx:
-            continue
-        if plain is None and not coeffs.is_field:
-            plain = homology(obj, coeffs)
-        agrees, betti = _inclusion_agrees(obj, plain, u, subset, coeffs, max_dim)
-        agreements.append(MemberAgreement(i, agrees, betti))
-
     return LimitReport(
         member_count=len(base.members),
         inclusions=inclusions,
@@ -184,7 +179,7 @@ def limit_homology(base: SemiUniformBase, subset=None, coeffs: Coefficients = IN
         minimum=m,
         result=result,
         cohomology_result=coh,
-        stabilization=tuple(agreements),
+        stabilization=agreements,
     )
 
 

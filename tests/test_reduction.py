@@ -10,6 +10,7 @@ theorem, and homology bases with their defining properties.
 
 import gc
 import importlib
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -19,7 +20,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 import vrips as v
 from vrips.relations import space_of_size
-from conftest import RP2_FACES, any_relations, explicit_complexes
+from conftest import RP2_FACES, any_relations, circle_metric, explicit_complexes
 from oracles import barycentric_subdivision, boundary_from_layers, frac_rank, modp_rank
 
 # The package re-exports a function named homology, so the module is
@@ -312,6 +313,36 @@ def test_a_second_homology_call_reduces_nothing(monkeypatch):
         calls.clear()
         assert v.homology(k, coeffs) == first
         assert not calls
+
+
+def test_a_second_integer_homology_call_runs_no_smith_form(monkeypatch):
+    # Labels no other test uses, so no equal complex has ranks stored.
+    k = v.explicit_complex(v.FiniteSpace(tuple(f"twice-{i}" for i in range(6))), RP2_FACES)
+    calls = counting_snf(monkeypatch)
+    first = v.homology(k)
+    assert first.torsion == ((), (2,), ())
+    assert len(calls) == 1
+    calls.clear()
+    assert v.homology(k, reduced=True).torsion == first.torsion
+    assert v.homology(k) == first
+    assert not calls
+
+
+def test_a_field_tower_reduces_each_degree_of_its_minimum_once(monkeypatch):
+    """The members' inclusions need the minimum's homology bases; asked
+    for before its ranks, they leave no degree to reduce a second time."""
+    d = circle_metric(8)
+    d = v.SemiPseudometric(v.FiniteSpace(tuple(f"tower-{i}" for i in range(8))), d.dist)
+    base = v.scale_base(d, Fraction(4, 5), [Fraction(1, 10), Fraction(7, 10), Fraction(11, 10)])
+    assert len(base.members) == 3
+    low = v.vr_complex(base.minimum(), 2)
+    # Degree 0 is left out: every member has the same vertex columns.
+    degrees = [hom._reducer(low, None).columns(k) for k in range(1, low.top_dim + 1)]
+    calls = counting_reduce(monkeypatch)
+    report = v.limit_homology(base, coeffs=v.RATIONALS)
+    assert report.result.betti == (1, 1, 0)
+    assert len(report.stabilization) == 2
+    assert [sum(c == cols for c in calls) for cols in degrees] == [1]
 
 
 @given(chain_objects(), st.permutations(list(range(6)) * 2))
