@@ -65,8 +65,8 @@ def _parse_coeffs(text: str) -> Coefficients:
 
 
 def _load(args, kinds: tuple[str, ...], wrong_kind: str):
-    """Read and parse the input file, refuse other kinds, parse --coeffs."""
-    with open(args.input, "r", encoding="utf-8") as fh:
+    """Read and parse the input file (less a leading UTF-8 BOM), refuse other kinds, parse --coeffs."""
+    with open(args.input, "r", encoding="utf-8-sig") as fh:
         doc = parse_document(fh.read(), args.format or guess_format(args.input))
     if doc.kind not in kinds:
         raise ValueError(wrong_kind)

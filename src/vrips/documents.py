@@ -158,9 +158,10 @@ def parse_edge_list(text: str) -> SpaceDocument:
     """Whitespace-separated edges, one per line.
 
     "a b" is an undirected edge, "a -> b" a directed one; a single
-    label on a line declares an isolated point. Any arrow anywhere
-    makes the whole document directed, and plain edges then stand for
-    both directions. Comments start with #.
+    label on a line declares an isolated point. "->" is only ever the
+    arrow between two labels, never a label. Any arrow anywhere makes
+    the whole document directed, and plain edges then stand for both
+    directions. Comments start with #.
     """
     lines = text.splitlines()
     parsed = []
@@ -170,15 +171,13 @@ def parse_edge_list(text: str) -> SpaceDocument:
         if not body:
             continue
         tokens = body.split()
-        if len(tokens) == 1:
-            parsed.append((no, tokens[0], None, False))
-        elif len(tokens) == 2:
-            parsed.append((no, tokens[0], tokens[1], False))
-        elif len(tokens) == 3 and tokens[1] == "->":
-            parsed.append((no, tokens[0], tokens[2], True))
-            directed = True
-        else:
-            raise ParseError(f"cannot read edge {body!r}", no)
+        arrow = len(tokens) == 3 and tokens[1] == "->"
+        if arrow:
+            tokens.pop(1)
+        if len(tokens) > 2 or "->" in tokens:
+            raise ParseError(f"cannot read edge {body!r}: write 'a b', 'a -> b' or one label", no)
+        parsed.append((no, tokens[0], tokens[1] if len(tokens) == 2 else None, arrow))
+        directed |= arrow
     labels: list[str] = []
     index: dict[str, int] = {}
 

@@ -11,6 +11,7 @@ accompanied by something a human can look at.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -109,12 +110,9 @@ def _through(res: HomologyResult, top: int) -> tuple[tuple, tuple]:
     return res.betti[: top + 1], res.torsion[: top + 1]
 
 
-def _check_comparison(what: str, coeffs: Coefficients, max_dim: int):
-    """Guards of a check that compares induced maps below the cap."""
-    if not coeffs.is_field:
-        raise ValueError(f"{what} comparison needs field coefficients")
-    if max_dim < 1:
-        raise ValueError("max_dim must be at least 1 to compare any dimension")
+def _verdict(axiom: str, instance: str, problems: list[str]) -> AxiomVerdict:
+    """Passing verdict without problems, else a failing one witnessed by all of them."""
+    return AxiomVerdict(axiom, instance, not problems, "; ".join(problems))
 
 
 def _object_at(rel: Relation, subset, max_dim: int):
@@ -203,12 +201,7 @@ def verify_dimension(coeffs: Coefficients = INTEGERS, max_dim: int = 2) -> Axiom
     reduced = limit_homology(base, coeffs=coeffs, max_dim=max_dim, reduced=True)
     if any(reduced.result.betti):
         problems.append(f"reduced betti {reduced.result.betti} is not zero")
-    return AxiomVerdict(
-        "dimension",
-        f"one point over {coeffs.describe()}",
-        not problems,
-        "; ".join(problems),
-    )
+    return _verdict("dimension", f"one point over {coeffs.describe()}", problems)
 
 
 # --------------------------------------------------------------------------
@@ -235,13 +228,12 @@ def _excision_witness_index(base: SemiUniformBase, a: frozenset, b: frozenset) -
 def check_excision_hypothesis(base: SemiUniformBase, a, bset) -> AxiomVerdict:
     """Is there a member under which B never reaches outside A?"""
     a, b = _excision_sets(base, a, bset)
-    held = _excision_witness_index(base, a, b) is not None
-    witness = ""
-    if not held:
+    problems = []
+    if _excision_witness_index(base, a, b) is None:
         _, m = _minimum_or_raise(base)
         leak = sorted(relation_image(m, b) - a)
-        witness = f"even the smallest member reaches {leak} from B outside A"
-    return AxiomVerdict("excision-hypothesis", f"A={sorted(a)}, B={sorted(b)}", held, witness)
+        problems.append(f"even the smallest member reaches {leak} from B outside A")
+    return _verdict("excision-hypothesis", f"A={sorted(a)}, B={sorted(b)}", problems)
 
 
 def verify_excision(base: SemiUniformBase, a, bset, coeffs: Coefficients = INTEGERS,
@@ -284,7 +276,7 @@ def verify_excision(base: SemiUniformBase, a, bset, coeffs: Coefficients = INTEG
         if (bb, tb) != (bs, ts):
             problems.append(f"member {u_idx}: pair gives betti {bb} torsion {tb}, "
                             f"cut space gives {bs} torsion {ts}")
-    return AxiomVerdict("excision", instance, not problems, "; ".join(problems))
+    return _verdict("excision", instance, problems)
 
 
 # --------------------------------------------------------------------------
@@ -301,14 +293,16 @@ def interval_relation(n: int, r) -> Relation:
     """Strict scale-r relation of n evenly spaced points on the unit interval.
 
     Points i and j lie |i - j|/(n-1) apart, so they are related exactly
-    when |i - j| < r (n-1): neighbours exactly when r exceeds the spacing
-    1/(n-1). Below that the complex falls apart into components.
+    when |i - j| < r (n-1), that is when |i - j| <= ceil(r (n-1)) - 1:
+    neighbours exactly when r exceeds the spacing 1/(n-1). Below that the
+    complex falls apart into components.
     """
     space = interval_space(n)
     if r < 0:
         raise ValueError("scale must be nonnegative")
-    reach = r * (n - 1)
-    return relation(space, {(i, j) for i in range(n) for j in range(n) if abs(i - j) < reach})
+    band = math.ceil(r * (n - 1)) - 1
+    pairs = {(i, j) for i in range(n) for j in range(max(0, i - band), min(n, i + band + 1))}
+    return relation(space, pairs)
 
 
 def check_interval_acyclic(n: int, r, max_dim: int = 2) -> AxiomVerdict:
@@ -317,13 +311,12 @@ def check_interval_acyclic(n: int, r, max_dim: int = 2) -> AxiomVerdict:
     spacing = Fraction(1, n - 1)
     k = vr_complex(rel, max_dim)
     betti, torsion = _through(homology(k, INTEGERS, reduced=True), k.reliable_top)
-    ok = not any(betti) and not any(torsion)
-    witness = ""
-    if not ok:
+    problems = []
+    if any(betti) or any(torsion):
         hyp = "holds" if r > spacing else "FAILS"
-        witness = (f"reduced betti {betti}, torsion {torsion}; "
-                   f"spacing hypothesis r > {spacing} {hyp}")
-    return AxiomVerdict("interval-acyclic", f"n={n}, r={r}", ok, witness)
+        problems.append(f"reduced betti {betti}, torsion {torsion}; "
+                        f"spacing hypothesis r > {spacing} {hyp}")
+    return _verdict("interval-acyclic", f"n={n}, r={r}", problems)
 
 
 def _cylinder_vertices(x: int, n: int) -> list[int]:
@@ -340,7 +333,6 @@ def verify_homotopy_cylinder(u: Relation, n: int, r, coeffs: Coefficients,
     cylinder over each maximal simplex must have vanishing reduced
     integer homology, which is what makes the end maps interchangeable.
     """
-    _check_comparison("cylinder", coeffs, max_dim)
     ivl = interval_relation(n, r)
     cyl = product_relation(u, ivl)
     kx = vr_complex(u, max_dim)
@@ -362,12 +354,7 @@ def verify_homotopy_cylinder(u: Relation, n: int, r, coeffs: Coefficients,
         if any(betti) or any(torsion):
             problems.append(f"cylinder over simplex {s} has reduced betti {betti}")
             break
-    return AxiomVerdict(
-        "homotopy-cylinder",
-        f"|X|={size}, n={n}, r={r}, over {coeffs.describe()}",
-        not problems,
-        "; ".join(problems),
-    )
+    return _verdict("homotopy-cylinder", f"|X|={size}, n={n}, r={r}, over {coeffs.describe()}", problems)
 
 
 # --------------------------------------------------------------------------
@@ -384,16 +371,10 @@ def verify_dowker(cover: Cover, coeffs: Coefficients = INTEGERS, max_dim: int = 
     kw = cover_complex(cover, max_dim)
     kn = nerve_of_cover(cover, max_dim)
     (bw, tw), (bn, tn) = (_through(homology(k, coeffs), max_dim - 1) for k in (kw, kn))
-    ok = (bw, tw) == (bn, tn)
-    witness = ""
-    if not ok:
-        witness = f"witness complex betti {bw} torsion {tw}, nerve betti {bn} torsion {tn}"
-    return AxiomVerdict(
-        "dowker-duality",
-        f"{len(cover.sets)} sets over {coeffs.describe()}",
-        ok,
-        witness,
-    )
+    problems = []
+    if (bw, tw) != (bn, tn):
+        problems.append(f"witness complex betti {bw} torsion {tw}, nerve betti {bn} torsion {tn}")
+    return _verdict("dowker-duality", f"{len(cover.sets)} sets over {coeffs.describe()}", problems)
 
 
 def verify_functoriality(f, g, bx: SemiUniformBase, by: SemiUniformBase,
@@ -407,33 +388,21 @@ def verify_functoriality(f, g, bx: SemiUniformBase, by: SemiUniformBase,
     the individual induced maps, and checks that the identity on X
     induces identity matrices, all through dimension max_dim - 1.
     """
-    _check_comparison("functoriality", coeffs, max_dim)
-    cf = check_uniform_continuity(f, bx, by)
-    if not cf:
+    if not check_uniform_continuity(f, bx, by):
         raise ValueError("f is not uniformly continuous against the given bases")
-    cg = check_uniform_continuity(g, by, bz)
-    if not cg:
+    if not check_uniform_continuity(g, by, bz):
         raise ValueError("g is not uniformly continuous against the given bases")
 
-    _, mx = _minimum_or_raise(bx)
-    _, my = _minimum_or_raise(by)
-    _, mz = _minimum_or_raise(bz)
-    kx = vr_complex(mx, max_dim)
-    ky = vr_complex(my, max_dim)
-    kz = vr_complex(mz, max_dim)
+    kx, ky, kz = (vr_complex(_minimum_or_raise(b)[1], max_dim) for b in (bx, by, bz))
 
-    fm = tuple(f)
-    gm = tuple(g)
-    fmap = induced_map(simplicial_map(fm, kx, ky), coeffs, top_dim=max_dim - 1)
-    gmap = induced_map(simplicial_map(gm, ky, kz), coeffs, top_dim=max_dim - 1)
-    comp = induced_map(
-        simplicial_map(tuple(gm[fm[x]] for x in range(bx.space.size)), kx, kz),
-        coeffs, top_dim=max_dim - 1,
-    )
-    ident = induced_map(
-        simplicial_map(tuple(range(bx.space.size)), kx, kx),
-        coeffs, top_dim=max_dim - 1,
-    )
+    def induced(points, dom, cod):
+        return induced_map(simplicial_map(points, dom, cod), coeffs, top_dim=max_dim - 1)
+
+    f, g = tuple(f), tuple(g)  # the point maps may be any iterables; g[f[x]] indexes them
+    fmap = induced(f, kx, ky)
+    gmap = induced(g, ky, kz)
+    comp = induced((g[f[x]] for x in range(bx.space.size)), kx, kz)
+    ident = induced(range(bx.space.size), kx, kx)
 
     problems = []
     chained = gmap.compose(fmap)
@@ -442,9 +411,5 @@ def verify_functoriality(f, g, bx: SemiUniformBase, by: SemiUniformBase,
         problems.append(f"composite map differs from chained maps in dimensions {bad}")
     if not ident.is_identity():
         problems.append("identity point map does not induce identity matrices")
-    return AxiomVerdict(
-        "functoriality",
-        f"|X|={bx.space.size}, |Y|={by.space.size}, |Z|={bz.space.size} over {coeffs.describe()}",
-        not problems,
-        "; ".join(problems),
-    )
+    sizes = f"|X|={bx.space.size}, |Y|={by.space.size}, |Z|={bz.space.size}"
+    return _verdict("functoriality", f"{sizes} over {coeffs.describe()}", problems)

@@ -7,7 +7,9 @@ superset scan, ranks from a plain fraction elimination written here,
 determinants from Bareiss, invariant factors from determinantal
 divisors, and numbers from Fraction's own reader. Scale relations,
 closed balls, scale continuity and distinct distance values come from
-comparing every entry of a table instead of bisecting its sorted pairs.
+comparing every entry of a table instead of bisecting its sorted pairs,
+and the interval relation from comparing every pair with its reach
+instead of a band of integer width.
 The shifted and truncated tables that the scale tests build live here
 too, with the other helpers only tests use: the diagonal and full
 relations, a table from coordinates, writers for the three input
@@ -116,6 +118,12 @@ def brute_pq_continuous(f, dx, dy, p, q) -> bool:
 def interval_table(n: int) -> tuple:
     """Distances of n evenly spaced points on the unit interval."""
     return tuple(tuple(Fraction(abs(i - j), n - 1) for j in range(n)) for i in range(n))
+
+
+def interval_pairs(n: int, r) -> frozenset:
+    """Pairs of the strict scale-r interval relation, comparing |i - j| with r (n-1) for every pair."""
+    reach = r * (n - 1)
+    return frozenset((i, j) for i in range(n) for j in range(n) if abs(i - j) < reach)
 
 
 def brute_values(dist) -> tuple:

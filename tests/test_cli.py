@@ -394,6 +394,31 @@ def test_deeply_nested_json_exits_two(tmp_path):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, text, argv", [
+    ("square.txt", "a b\nb c\nc d\nd a\n", ["graph", "--coeffs", "F2"]),
+    ("square.csv", SQUARE_CSV, ["homology", "--scale", "1"]),
+    ("arcs.json", CLOSURE_JSON, ["closure"]),
+])
+def test_a_leading_byte_order_mark_changes_nothing(tmp_path, name, text, argv):
+    path = tmp_path / name
+    answers = []
+    for bom in ("", "\ufeff"):
+        path.write_text(bom + text, encoding="utf-8")
+        code, out, err = run(argv[:1] + [str(path)] + argv[1:])
+        assert (code, err) == (OK, "")
+        answers.append(parse_result(out))
+    assert results_equal(*answers)
+
+
+@pytest.mark.parametrize("line", ["a ->", "-> b", "->", "a -> ->", "-> -> b", "a b ->", "a -> b -> c"])
+def test_a_dangling_arrow_exits_two(tmp_path, line):
+    path = tmp_path / "edges.txt"
+    path.write_text(f"a b\n{line}\n")
+    code, out, err = run(["graph", str(path)])
+    assert (code, out) == (BAD_INPUT, "")
+    assert err.startswith("error:") and "line 2" in err
+
+
 # Command-line fuzzing: small documents, well formed or broken, through every
 # document command. Whatever the input, the answer is a result or one refusal.
 

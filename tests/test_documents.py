@@ -133,6 +133,13 @@ def test_edge_list_errors():
         parse_edge_list("# nothing here\n")
 
 
+@pytest.mark.parametrize("line", ["a ->", "-> b", "->", "a -> ->", "-> -> b", "a b ->", "a -> b -> c"])
+def test_an_arrow_is_never_a_label(line):
+    with pytest.raises(ParseError) as err:
+        parse_edge_list(f"a -> b\n# note\n{line}\n")
+    assert err.value.line == 3
+
+
 def test_json_distance_floats_arrive_exact():
     doc = parse_space_json(
         '{"kind": "distance", "labels": ["x", "y"],'

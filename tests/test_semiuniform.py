@@ -11,7 +11,7 @@ from vrips.relations import metric_relation, relation, space_of_size
 import vrips.semiuniform as su
 from vrips.semiuniform import NoMinimumError, interval_space
 from conftest import circle_metric, metrics
-from oracles import brute_scale_pairs, full_relation, interval_table
+from oracles import brute_scale_pairs, full_relation, interval_pairs, interval_table
 
 
 HALF = Fraction(1, 2)
@@ -176,6 +176,12 @@ def test_interval_relation_matches_the_distance_table(case):
     assert rel.space == interval_space(n)
 
 
+@given(st.integers(2, 11), st.fractions(min_value=0, max_value=3, max_denominator=40))
+@settings(max_examples=200, deadline=None)
+def test_interval_relation_band_matches_the_pairwise_comparison(n, r):
+    assert su.interval_relation(n, r).pairs == interval_pairs(n, r) | {(i, i) for i in range(n)}
+
+
 def test_cylinder_ends_agree_on_the_cycle(cycle4):
     verdict = v.verify_homotopy_cylinder(cycle4, 5, Fraction(3, 10), v.RATIONALS)
     assert verdict
@@ -193,6 +199,16 @@ def test_cylinder_rejects_integer_coefficients(cycle4):
         v.verify_homotopy_cylinder(cycle4, 3, HALF, v.INTEGERS)
     with pytest.raises(ValueError):
         v.verify_homotopy_cylinder(cycle4, 3, HALF, v.RATIONALS, max_dim=0)
+
+
+def test_functoriality_rejects_integer_coefficients(cycle4):
+    base = v.SemiUniformBase.from_members([cycle4])
+    identity = range(4)
+    assert v.verify_functoriality(identity, identity, base, base, base, v.RATIONALS)
+    with pytest.raises(ValueError):
+        v.verify_functoriality(identity, identity, base, base, base, v.INTEGERS)
+    with pytest.raises(ValueError):
+        v.verify_functoriality(identity, identity, base, base, base, v.RATIONALS, max_dim=0)
 
 
 def test_dowker_on_three_arcs():
