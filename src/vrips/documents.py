@@ -1,13 +1,17 @@
 """File formats: exact distance tables, edge lists, JSON documents.
 
-Every numeric value rides through Fraction, never float. CSV distance
-entries and JSON number literals are converted from their decimal text
-directly (json's parse_float hands us the raw literal), so what the
-file says is exactly what the relation sees. A CSV table parses each
-distinct cell string once. Serialized fractions use the n/d form of
-str(Fraction). Untrusted input is checked here: the parsers check each
-file's shape and numbers, and the document_to_* conversions hand the
-contents to constructors that check them, turning errors into ParseError.
+Every number is read exactly, never as a float. CSV distance entries
+and JSON number literals are converted from their decimal text directly
+(json's parse_float hands us the raw literal), so what the file says is
+exactly what the relation sees. A CSV table parses each distinct cell
+string once, a plain decimal with no Fraction, and keeps the table as
+integer keys over one denominator, which document_to_metric hands to
+SemiPseudometric.from_keys; its Fractions are built only when its
+distances are read. Every other number is a Fraction.
+Serialized fractions use the n/d form of str(Fraction). Untrusted input
+is checked here: the parsers check each file's shape and numbers, and
+the document_to_* conversions hand the contents to constructors that
+check them, turning errors into ParseError.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -36,23 +41,43 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
+class _Distances:
+    """SpaceDocument.distances, None by default. A document read from a CSV
+    table holds its entries in _key_table, as integer keys over one
+    denominator, and builds their Fractions on the first read of distances."""
+
+    def __get__(self, doc, owner=None):
+        if doc is None:
+            return None  # the field's default
+        table = doc.__dict__["distances"]
+        if table is None and doc._key_table:
+            keys, den = doc._key_table
+            table = doc.__dict__["distances"] = tuple(tuple(Fraction(k, den) for k in row) for row in keys)
+        return table
+
+    def __set__(self, doc, table):
+        doc.__dict__["distances"] = table
+
+
 @dataclass(frozen=True)
 class SpaceDocument:
     """One parsed input: a space plus one kind of structure on it.
 
     kind is one of distance, graph, closure, complex; exactly the
     matching payload field is populated. cover_sets may accompany a
-    closure document.
+    closure document. distances holds Fractions; a document read from a
+    CSV table builds them from its integer keys on their first read.
     """
 
     kind: str
     labels: tuple[str, ...]
-    distances: tuple[tuple[Fraction, ...], ...] | None = None
+    distances: tuple[tuple[Fraction, ...], ...] | None = _Distances()
     edges: tuple[tuple[int, int], ...] | None = None
     directed: bool = False
     neighborhoods: tuple[tuple[int, ...], ...] | None = None
     simplices: tuple[tuple[int, ...], ...] | None = None
     cover_sets: tuple[tuple[int, ...], ...] | None = None
+    _key_table: tuple | None = field(default=None, repr=False, compare=False)
 
     def space(self) -> FiniteSpace:
         return FiniteSpace(self.labels)
@@ -67,17 +92,16 @@ def exact_number(text: str, line: int | None = None) -> Fraction:
     """
     text = text.strip()
     try:
-        # Plain ASCII decimals skip Fraction's pattern match; the two int
-        # calls refuse over-long digit runs exactly where Fraction does.
-        whole, dot, decimals = text.partition(".")
-        if text.isascii() and whole.isdigit() and (decimals.isdigit() or not dot):
-            scale = 10 ** len(decimals)
-            return Fraction(int(whole) * scale + int(decimals or "0"), scale)
+        if "_" in text:  # Fraction accepts digit separators from Python 3.11 on
+            raise ValueError
+        plain = _decimal(text)  # skips Fraction's pattern match
+        if plain:
+            return Fraction(*plain)
         if "e" in text or "E" in text:
             mantissa, _, exp = text.lower().partition("e")
             whole, _, decimals = mantissa.partition(".")
             shift = int(exp) - sum(c.isdigit() for c in decimals)
-            digits = max(sum(c.isdigit() for c in (whole + decimals).lstrip("+-0_")), 1)
+            digits = max(sum(c.isdigit() for c in (whole + decimals).lstrip("+-0")), 1)
             limit = sys.get_int_max_str_digits()  # 0 means no limit
             if limit and max(digits + shift, 1 - shift) > limit:
                 raise OverflowError
@@ -126,25 +150,49 @@ def parse_distance_csv(text: str) -> SpaceDocument:
     n = len(header)
     if len(rows) - 1 != n:
         raise ParseError(f"expected {n} data rows, found {len(rows) - 1}")
+    # A symmetric table holds each cell twice, so each distinct cell is read
+    # once, as (numerator, denominator): a plain decimal with no Fraction, any
+    # other literal by exact_number.
+    parsed: dict[str, tuple[int, int]] = {}
     table = []
-    parsed: dict[str, Fraction] = {}  # a symmetric table holds each cell twice
     for i, row in enumerate(rows[1:], start=2):
         cells = [c.strip() for c in row]
         if len(cells) != n + 1:
             raise ParseError(f"expected {n + 1} cells, found {len(cells)}", i)
         if cells[0] != header[i - 2]:
             raise ParseError(f"row label {cells[0]!r} does not match header {header[i - 2]!r}", i)
-        for c in cells[1:]:
+        del cells[0]
+        for c in cells:
             if c not in parsed:
-                parsed[c] = exact_number(c, i)
-        table.append(tuple(parsed[c] for c in cells[1:]))
-    return SpaceDocument(kind="distance", labels=tuple(header), distances=tuple(table))
+                parsed[c] = _decimal(c) or exact_number(c, i).as_integer_ratio()
+        table.append(cells)
+    # n/d gets the key n * (L // d), L the lcm of every d; for plain decimals
+    # L is the largest power of ten.
+    den = math.lcm(*{d for _, d in parsed.values()})
+    keys = {c: num * (den // d) for c, (num, d) in parsed.items()}
+    return SpaceDocument(kind="distance", labels=tuple(header),
+                         _key_table=(tuple(tuple(map(keys.__getitem__, row)) for row in table), den))
+
+
+def _decimal(text: str) -> tuple[int, int] | None:
+    """A plain ASCII decimal as (numerator, power-of-ten denominator), or
+    None for any other literal and for digits too many for one int(), which
+    Fraction's reader then takes or refuses."""
+    whole, dot, decimals = text.partition(".")
+    if text.isascii() and whole.isdigit() and (decimals.isdigit() or not dot):
+        try:
+            return int(whole + decimals), 10 ** len(decimals)
+        except ValueError:
+            return None
+    return None
 
 
 def document_to_metric(doc: SpaceDocument) -> SemiPseudometric:
-    if doc.kind != "distance" or doc.distances is None:
+    if doc.kind != "distance" or doc._key_table is None and doc.distances is None:
         raise ValueError("not a distance document")
     try:
+        if doc._key_table:
+            return SemiPseudometric.from_keys(doc.space(), *doc._key_table)
         return SemiPseudometric(doc.space(), doc.distances)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc

@@ -16,11 +16,14 @@ and ties are never fuzzed. Callers control the boundary by choosing the
 mode and the numeric type (int, Fraction, float) of their distances.
 
 A distance table is checked and sorted once, when it is built, on exact
-integer keys. Every scale query after that is a bisection of the sorted
-distances: a scale relation is a prefix of the sorted pairs, and the
-distinct values are stored, not recomputed. Scale relations, graph
-relations and scale bases built from checked input are trusted; every
-other relation and base checks itself when built.
+integer keys over the lcm of its entries' denominators. Every scale
+query after that converts its scale once to an integer threshold and
+bisects the sorted keys: a scale relation is a prefix of the sorted
+pairs, joined from pairs, reverses and diagonal stored once. A table
+built from_keys builds its Fractions only when its values are read.
+Scale relations, graph relations and scale bases built from checked
+input are trusted; every other relation and base checks itself when
+built.
 """
 
 from __future__ import annotations
@@ -79,11 +82,38 @@ def subspace(space: FiniteSpace, indices) -> FiniteSpace:
 
 class _PairIndex(NamedTuple):
     """The pairs i < j of a table in ascending distance order (ties in
-    lexicographic order), their distances, and the distinct values."""
+    lexicographic order), their reverses, the diagonal, and the sorted keys:
+    pair k is at distance keys[k] / den, and a key is +inf for +inf."""
 
     pairs: tuple[Pair, ...]
-    dists: tuple
-    values: tuple
+    reverses: tuple[Pair, ...]
+    diagonal: tuple[Pair, ...]
+    keys: tuple
+    den: int
+
+
+def _check_square(n: int, table) -> None:
+    if len(table) != n or any(len(row) != n for row in table):
+        raise ValueError("distance table must be square and match the space")
+
+
+def _pair_index(keys, den: int) -> _PairIndex:
+    """Check a square grid of integer keys over one denominator and sort its pairs."""
+    n = len(keys)
+    for i in range(n):
+        if keys[i][i] != 0:
+            raise ValueError(f"distance table has nonzero diagonal at {i}")
+        for j in range(i + 1, n):
+            if keys[i][j] != keys[j][i]:
+                raise ValueError(f"distance table is not symmetric at ({i},{j})")
+            if keys[i][j] < 0:
+                raise ValueError(f"negative distance at ({i},{j})")
+    pairs = list(itertools.combinations(range(n), 2))
+    flat = [keys[i][j] for i, j in pairs]
+    order = sorted(range(len(pairs)), key=flat.__getitem__)  # stable: ties stay lexicographic
+    pairs = tuple(pairs[k] for k in order)
+    return _PairIndex(pairs, tuple((j, i) for i, j in pairs), tuple((i, i) for i in range(n)),
+                      tuple(flat[k] for k in order), den)
 
 
 def _ratio(x) -> tuple:
@@ -103,9 +133,11 @@ class SemiPseudometric:
     No triangle inequality is assumed or checked. Entries may be ints,
     Fractions, or floats (+inf too); they are compared exactly as given.
 
-    Construction checks the table and sorts the pairs i < j by distance.
-    values() returns the stored distinct values, and every scale query
-    (metric_relation, scale_base) is a bisection of the sorted distances.
+    Construction checks the table and sorts the pairs i < j by distance,
+    on integer keys over one denominator: n/d gets the key n * (L // d),
+    L the lcm of every d. values() reads the distinct values off the
+    sorted pairs, and every scale query (metric_relation, scale_base,
+    closing_offset) is a bisection of the sorted keys.
     """
 
     space: FiniteSpace
@@ -115,38 +147,63 @@ class SemiPseudometric:
     def __post_init__(self):
         dist = tuple(tuple(row) for row in self.dist)
         object.__setattr__(self, "dist", dist)
-        n = self.space.size
-        if len(dist) != n or any(len(row) != n for row in dist):
-            raise ValueError("distance table must be square and match the space")
-        # n/d gets the key n * (L // d), L the lcm of every d. Non-finite floats
-        # keep themselves: +inf sorts last, and -inf and NaN fail as unconverted.
+        _check_square(self.space.size, dist)
+        # Non-finite floats keep themselves as keys: +inf sorts last, and -inf
+        # and NaN fail the checks.
         ratios = [[_ratio(x) for x in row] for row in dist]
         lcm = math.lcm(*{den for row in ratios for _, den in row if den})
         keys = [[num * (lcm // den) if den else num for num, den in row] for row in ratios]
-        for i in range(n):
-            if keys[i][i] != 0:
-                raise ValueError(f"distance table has nonzero diagonal at {i}")
-            for j in range(i + 1, n):
-                if keys[i][j] != keys[j][i]:
-                    raise ValueError(f"distance table is not symmetric at ({i},{j})")
-                if keys[i][j] < 0:
-                    raise ValueError(f"negative distance at ({i},{j})")
+        object.__setattr__(self, "_index", _pair_index(keys, lcm))
 
-        def key(p):
-            return keys[p[0]][p[1]]
+    @classmethod
+    def from_keys(cls, space: FiniteSpace, keys, den: int) -> "SemiPseudometric":
+        """The table keys[i][j] / den, from int keys over a positive int
+        denominator, with every check of the constructor. dist holds
+        Fractions, built on its first read."""
+        keys = tuple(map(tuple, keys))
+        _check_square(space.size, keys)
+        if type(den) is not int or den < 1 or any(type(k) is not int for row in keys for k in row):
+            raise ValueError("keys must be ints over a positive int denominator")
+        d = object.__new__(cls)
+        object.__setattr__(d, "space", space)
+        object.__setattr__(d, "_index", _pair_index(keys, den))
+        object.__setattr__(d, "_keys", keys)
+        return d
 
-        pairs = tuple(sorted(itertools.combinations(range(n), 2), key=key))
-        dists = tuple(dist[i][j] for i, j in pairs)
-        # Each run of tied keys keeps its first pair's value.
-        values = tuple(dist[i][j] for i, j in (next(run) for _, run in itertools.groupby(pairs, key)))
-        object.__setattr__(self, "_index", _PairIndex(pairs, dists, values))
+    def __getattr__(self, name):
+        # from_keys leaves dist unset until it is first read.
+        if name != "dist" or "_keys" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        dist = tuple(tuple(Fraction(k, self._index.den) for k in row) for row in self._keys)
+        object.__setattr__(self, "dist", dist)
+        return dist
 
     def d(self, i: int, j: int):
         return self.dist[i][j]
 
     def values(self) -> tuple:
-        """Sorted distinct off-diagonal distance values."""
-        return self._index.values
+        """Sorted distinct off-diagonal distance values; each run of tied keys
+        gives the value of its first pair."""
+        idx, dist = self._index, self.dist
+        return tuple(dist[i][j] for (i, j), key, prev in zip(idx.pairs, idx.keys, (None, *idx.keys))
+                     if key != prev)
+
+
+def _cut(d: SemiPseudometric, t, closed: bool) -> int:
+    """How many sorted pairs of d lie at distance <= t (closed) or < t (strict).
+
+    On keys over den, d <= t holds exactly when key <= floor(t * den), and
+    d < t exactly when key < ceil(t * den); t = +inf is compared as it is.
+    """
+    idx = d._index
+    if t != math.inf:
+        try:
+            num, den = t.as_integer_ratio()
+        except ValueError:
+            raise ValueError(f"scales and offsets must be numbers, got {t!r}") from None
+        num *= idx.den
+        t = num // den if closed else -(-num // den)
+    return (bisect_right if closed else bisect_left)(idx.keys, t)
 
 
 @dataclass(frozen=True)
@@ -279,14 +336,13 @@ def metric_relation(d: SemiPseudometric, q, mode: str = "closed") -> Relation:
         raise ValueError("scale must be nonnegative")
     if mode not in ("strict", "closed"):
         raise ValueError(f"unknown mode {mode!r}: expected 'strict' or 'closed'")
-    return _scale_relation(d, (bisect_left if mode == "strict" else bisect_right)(d._index.dists, q))
+    return _scale_relation(d, _cut(d, q, mode == "closed"))
 
 
 def _scale_relation(d: SemiPseudometric, cut: int) -> Relation:
     # The first cut sorted pairs i < j, their reverses and the diagonal.
-    near = d._index.pairs[:cut]
-    return Relation._trusted(d.space, frozenset(
-        (*near, *((j, i) for i, j in near), *((i, i) for i in d.space.points()))))
+    idx = d._index
+    return Relation._trusted(d.space, frozenset(idx.pairs[:cut] + idx.reverses[:cut] + idx.diagonal))
 
 
 def graph_relation(edges, space: FiniteSpace, directed: bool = False) -> Relation:
@@ -412,7 +468,7 @@ def scale_base(d: SemiPseudometric, q, deltas) -> SemiUniformBase:
     # Nested symmetric members are directed and closed under inverses, and
     # two offsets give one member exactly when they cut the sorted pairs at
     # the same place; the first offset of each cut is kept.
-    cuts = dict.fromkeys(bisect_left(d._index.dists, q + off) for off in offs)
+    cuts = dict.fromkeys(_cut(d, q + off, False) for off in offs)
     base = object.__new__(SemiUniformBase)
     object.__setattr__(base, "space", d.space)
     object.__setattr__(base, "members", tuple(_scale_relation(d, cut) for cut in cuts))
@@ -423,11 +479,12 @@ def closing_offset(d: SemiPseudometric, q) -> Fraction:
     """One offset making the strict relation at q + delta equal to the
     closed relation at q: half the exact gap up to the next larger
     distance, or 1 when no finite distance exceeds q."""
-    vals = d.values()
-    k = bisect_right(vals, q)
-    if k == len(vals) or vals[k] == math.inf:
+    keys, den = d._index.keys, d._index.den
+    k = _cut(d, q, True)
+    if k == len(keys) or keys[k] == math.inf:
         return Fraction(1)
-    return (Fraction(vals[k]) - Fraction(q)) / 2
+    num, qden = q.as_integer_ratio()
+    return Fraction(keys[k] * qden - num * den, 2 * den * qden)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ cliques, nerves and witness complexes come from subset scanning instead
 of incremental expansion or face closure, maximal simplices from a
 superset scan, ranks from a plain fraction elimination written here,
 determinants from Bareiss, invariant factors from determinantal
-divisors, and numbers from Fraction's own reader. Scale relations,
+divisors, and numbers from Fraction's own reader, which also reads every
+cell of the CSV tables that integer keys are checked against. Scale relations,
 closed balls, scale continuity and distinct distance values come from
 comparing every entry of a table instead of bisecting its sorted pairs,
 and the interval relation from comparing every pair with its reach
@@ -160,9 +161,12 @@ def smallest_positive_gap(values):
 
 def reference_exact_number(text: str, line: int | None = None) -> Fraction:
     """The number reader with no decimal fast path: every literal goes
-    through Fraction, after the same exponent guard."""
+    through Fraction, after the same exponent guard. Digit separators are
+    refused, as Fraction refuses them before Python 3.11."""
     text = text.strip()
     try:
+        if "_" in text:
+            raise ValueError(text)
         if "e" in text or "E" in text:
             mantissa, _, exp = text.lower().partition("e")
             whole, _, decimals = mantissa.partition(".")
@@ -176,6 +180,16 @@ def reference_exact_number(text: str, line: int | None = None) -> Fraction:
         raise ParseError(f"number too large to hold exactly: {text!r}", line) from exc
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not an exact number: {text!r}", line) from exc
+
+
+def reference_distance_table(cells) -> tuple[tuple, SemiPseudometric]:
+    """A well-shaped CSV table's cells read as they were before integer
+    keys: every cell through reference_exact_number, in scan order with its
+    line, then SemiPseudometric's checks on the Fractions. A refused cell
+    raises ParseError; a refused table raises the constructor's ValueError."""
+    rows = tuple(tuple(reference_exact_number(c, line) for c in row)
+                 for line, row in enumerate(cells, start=2))
+    return rows, SemiPseudometric(space_of_size(len(rows)), rows)
 
 
 def brute_clique_layers(n: int, pairs, max_dim: int) -> list[list[tuple[int, ...]]]:

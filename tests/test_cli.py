@@ -419,6 +419,24 @@ def test_a_dangling_arrow_exits_two(tmp_path, line):
     assert err.startswith("error:") and "line 2" in err
 
 
+@pytest.mark.parametrize("name, text, argv", [
+    ("cell.csv", ",a,b\na,0,1_0\nb,1_0,0\n", ["sweep", "FILE", "--scales", "9:11:1"]),
+    ("entry.json", '{"kind": "distance", "labels": ["a", "b"], "distances": [[0, "1_0"], ["1_0", 0]]}',
+     ["homology", "FILE", "--scale", "10"]),
+    ("square.csv", SQUARE_CSV, ["homology", "FILE", "--scale", "1_0"]),
+    ("square.csv", SQUARE_CSV, ["homology", "FILE", "--scale", "1", "--delta", "1_0"]),
+    ("square.csv", SQUARE_CSV, ["sweep", "FILE", "--scales", "9:1_1:1"]),
+])
+def test_digit_separators_exit_two_on_every_python(tmp_path, name, text, argv):
+    # Fraction reads "1_0" as 10 from Python 3.11 on; every literal refuses it.
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run([str(path) if a == "FILE" else a for a in argv])
+    assert (code, out) == (BAD_INPUT, "")
+    assert err.startswith("error:") and "not an exact number: '1_" in err
+    assert "Traceback" not in err
+
+
 # Command-line fuzzing: small documents, well formed or broken, through every
 # document command. Whatever the input, the answer is a result or one refusal.
 

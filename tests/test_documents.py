@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrips import closure_of_set, homology, vr_complex
+from vrips import closure_of_set, homology, metric_relation, scale_base, vr_complex
 from vrips.documents import (
     ParseError,
     document_cover,
@@ -26,13 +26,17 @@ from vrips.documents import (
     serialize_result,
 )
 from oracles import (
+    brute_scale_pairs,
+    brute_values,
     parse_result,
+    reference_distance_table,
     reference_exact_number,
     results_equal,
     serialize_distance_csv,
     serialize_edge_list,
     serialize_space_json,
 )
+from vrips.relations import closing_offset
 
 SQUARE_CSV = """\
 ,p,q,r
@@ -307,3 +311,99 @@ def test_results_equal_ignores_only_the_timestamp():
     b = dict(a, generated_at="1999-01-01T00:00:00Z")
     assert results_equal(a, b)
     assert not results_equal(a, dict(a, results={"passed": 2}))
+
+
+# A CSV table is read as integer keys over the lcm of its cells' denominators,
+# one power of ten for plain decimals; it must answer as the Fraction table does.
+# Each value comes in plain spellings of several lengths and in other ones.
+_SPELLINGS = [
+    (["0", "0.0", "0.000"], ["0/1", "0e0"]),
+    (["1", "1.0", "1.00"], ["2/2", "1e0"]),
+    (["0.5", "0.50", "0.5000"], ["1/2", "5e-1"]),
+    (["0.25", "0.2500"], ["1/4", "25e-2"]),
+    (["0.2", "0.20"], ["1/5", "2E-1"]),
+    (["3", "3.000"], ["6/2", "0.3e1"]),
+    (["1.41421356"], ["141421356/100000000"]),
+]
+_LIMIT = sys.get_int_max_str_digits()
+_ODD_CELLS = [
+    "x", "", "1_0", "-1", "+2", "1.", ".5", "1/0", "nan", "1e400000000",
+    "1" * _LIMIT,  # the longest whole digit run exact_number takes
+    "1" * (_LIMIT + 1),
+    "2" * (_LIMIT // 2 + 10) + "." + "3" * (_LIMIT // 2 + 10),  # too long for one int(), taken
+    "0." + "1" * (_LIMIT + 1),
+]
+
+
+@st.composite
+def _csv_cells(draw):
+    n = draw(st.integers(1, 6))
+    plain = draw(st.booleans())
+
+    def spell(value):
+        plains, others = value
+        return draw(st.sampled_from(plains if plain else plains + others))
+
+    cells = [[None] * n for _ in range(n)]
+    for i in range(n):
+        cells[i][i] = spell(_SPELLINGS[0])
+        for j in range(i + 1, n):
+            value = draw(st.sampled_from(_SPELLINGS))
+            cells[i][j], cells[j][i] = spell(value), spell(value)
+    if draw(st.integers(0, 3)) == 0:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        cells[i][j] = draw(st.sampled_from(_ODD_CELLS))
+        if draw(st.booleans()):
+            cells[j][i] = cells[i][j]
+    return cells
+
+
+def _check_against_the_fraction_table(cells):
+    labels = [f"p{i}" for i in range(len(cells))]
+    text = "\n".join([",".join([""] + labels)] + [",".join([label] + row) for label, row in zip(labels, cells)])
+    try:
+        rows, want = reference_distance_table(cells)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_distance_csv(text)
+        assert (str(got.value), got.value.line) == (str(exc), exc.line)
+        return
+    except ValueError as exc:
+        with pytest.raises(ParseError) as got:
+            document_to_metric(parse_distance_csv(text))
+        assert (str(got.value), got.value.line) == (str(exc), None)
+        return
+    doc = parse_distance_csv(text)
+    d = document_to_metric(doc)
+    assert d._index.pairs == want._index.pairs
+    assert [(x, type(x)) for x in d.values()] == [(x, type(x)) for x in want.values()]
+    assert d.values() == brute_values(rows)
+    assert d.dist == want.dist == doc.distances == rows
+    assert {type(x) for row in d.dist + doc.distances for x in row} == {Fraction}
+    vals = want.values()
+    probes = [0, *vals, *((a + b) / 2 for a, b in zip(vals, vals[1:])), vals[-1] + 1 if vals else 1]
+    if vals and vals[0] > 0:
+        probes.append(vals[0] / 2)
+    for q in probes:
+        for mode in ("strict", "closed"):
+            assert metric_relation(d, q, mode).off_diagonal() == brute_scale_pairs(rows, q, mode)
+        above = [x for x in vals if x > q]
+        offset = closing_offset(d, q)
+        assert offset == ((min(above) - q) / 2 if above else 1)
+        for deltas in ([offset], [Fraction(1, 3), Fraction(1, 10**6), 2]):
+            assert [m.off_diagonal() for m in scale_base(d, q, deltas).members] == [
+                m.off_diagonal() for m in scale_base(want, q, deltas).members]
+            assert scale_base(d, q, deltas).members[0].off_diagonal() == brute_scale_pairs(
+                rows, q + min(deltas), "strict")
+
+
+@given(_csv_cells())
+@settings(max_examples=100, deadline=None)
+def test_integer_keys_answer_as_the_fraction_table(cells):
+    _check_against_the_fraction_table(cells)
+
+
+@pytest.mark.parametrize("cell", _ODD_CELLS)
+def test_odd_cells_answer_as_the_fraction_table(cell):
+    _check_against_the_fraction_table([["0", cell, "0.5"], [cell, "0", "1"], ["0.5", "1", "0"]])
+    _check_against_the_fraction_table([["0", cell], ["1", "0"]])

@@ -430,7 +430,9 @@ def test_integer_keys_order_mixed_tables_as_fractions_do(rows):
     pairs = sorted(itertools.combinations(range(len(rows)), 2),
                    key=lambda p: _fraction_order(rows[p[0]][p[1]]))
     assert d._index.pairs == tuple(pairs)
-    assert [(x, type(x)) for x in d._index.dists] == [(rows[i][j], type(rows[i][j])) for i, j in pairs]
+    assert [_fraction_order(k if k == math.inf else Fraction(k, d._index.den)) for k in d._index.keys] == [
+        _fraction_order(rows[i][j]) for i, j in pairs]
+    assert [(d.d(i, j), type(d.d(i, j))) for i, j in pairs] == [(rows[i][j], type(rows[i][j])) for i, j in pairs]
     firsts = {}
     for i, j in pairs:
         firsts.setdefault(_fraction_order(rows[i][j]), rows[i][j])
@@ -498,3 +500,71 @@ def test_non_finite_floats(where, value, off_diagonal_fault):
     assert d._index.pairs == ((0, 2), (1, 2), (0, 1))
     assert v.metric_relation(d, 10**400, "closed").pairs == diagonal(d.space).pairs | {
         (0, 2), (2, 0), (1, 2), (2, 1)}
+
+
+_NAN = "scales and offsets must be numbers, got nan"
+
+
+def _three_points():
+    return v.SemiPseudometric(space_of_size(3), ((0, 1, 2), (1, 0, 1), (2, 1, 0)))
+
+
+@pytest.mark.parametrize("mode", ["closed", "strict"])
+def test_metric_relation_refuses_a_nan_scale(mode):
+    # NaN < 0 is false, so only the integer threshold can catch it.
+    with pytest.raises(ValueError, match=_NAN):
+        v.metric_relation(_three_points(), math.nan, mode)
+
+
+def test_closing_offset_refuses_a_nan_scale():
+    with pytest.raises(ValueError, match=_NAN):
+        closing_offset(_three_points(), math.nan)
+
+
+@pytest.mark.parametrize("q, deltas", [(1, [math.nan]), (math.nan, [1]), (0, [1, math.nan])])
+def test_scale_base_refuses_a_nan_scale_or_offset(q, deltas):
+    with pytest.raises(ValueError, match=_NAN):
+        v.scale_base(_three_points(), q, deltas)
+
+
+def test_a_table_that_is_not_square_is_refused_before_its_entries_are_read():
+    with pytest.raises(ValueError, match="distance table must be square and match the space"):
+        v.SemiPseudometric(space_of_size(2), [[0, "x"]])
+
+
+@pytest.mark.parametrize("keys, den", [
+    ([[0, 1], [1, 0]], -1),
+    ([[0, 1], [1, 0]], 0),
+    ([[0, 1], [1, 0]], 2.0),
+    ([[0, 1], [1, 0]], True),
+    ([[0, 1.0], [1.0, 0]], 2),
+    ([[0, Fraction(1)], [Fraction(1), 0]], 2),
+])
+def test_from_keys_refuses_keys_or_a_denominator_that_are_not_ints(keys, den):
+    with pytest.raises(ValueError, match="keys must be ints over a positive int denominator"):
+        v.SemiPseudometric.from_keys(space_of_size(2), keys, den)
+
+
+@pytest.mark.parametrize("keys, fault", [
+    ([[0, 1]], "distance table must be square and match the space"),
+    ([[0, 1.5]], "distance table must be square and match the space"),
+    ([[0, 1], [2, 0]], "distance table is not symmetric at (0,1)"),
+    ([[0, -1], [-1, 0]], "negative distance at (0,1)"),
+    ([[0, 1], [1, 3]], "distance table has nonzero diagonal at 1"),
+])
+def test_from_keys_checks_as_the_constructor_does(keys, fault):
+    for build in (lambda: v.SemiPseudometric.from_keys(space_of_size(2), keys, 4),
+                  lambda: v.SemiPseudometric(space_of_size(2), keys)):
+        with pytest.raises(ValueError, match=re.escape(fault) + "$"):
+            build()
+
+
+def test_from_keys_keeps_its_own_copy_of_the_keys():
+    keys = [[0, 3, 1], [3, 0, 2], [1, 2, 0]]
+    d = v.SemiPseudometric.from_keys(space_of_size(3), keys, 4)
+    keys[0][1] = keys[1][0] = 0
+    want = v.SemiPseudometric(space_of_size(3), [[Fraction(k, 4) for k in row] for row in [
+        [0, 3, 1], [3, 0, 2], [1, 2, 0]]])
+    assert d.dist == want.dist
+    assert d._index.pairs == want._index.pairs == ((0, 2), (1, 2), (0, 1))
+    assert [(x, type(x)) for x in d.values()] == [(x, type(x)) for x in want.values()]
