@@ -41,6 +41,13 @@ therefore compare as plain matrices. Inclusions, quotients, vertex
 maps and the connecting map of a pair (a relative cell goes to its
 signed faces) all go through one chain-map routine, and the long exact
 sequence check verifies exactness of the last three by rank counting.
+
+A tower of complexes (or pairs), each inside the next, has bars from
+one reduction of its last stage over a field (tower_bars): each cell is
+born at the first stage holding it, the cells are ordered by birth and
+then lexicographically, and the reducer runs on those bases, recording
+which column took each pivot row. The bars give every stage's ranks and
+the rank of every map between stages without any chain map.
 """
 
 from __future__ import annotations
@@ -263,13 +270,15 @@ class _Reduction:
     """Outcome of one column reduction R = D V.
 
     pivots maps each pivot row to its reduced column, normalised to 1 at
-    that row. When V is kept, records maps the same rows to the matching
-    columns of V, and cycles lists (index, V column) for the columns
-    that reduced to zero. stuck lists the reduced columns of an integral
-    reduction whose lowest entry is not +1 or -1; they hold no pivot.
+    that row, and pivot_columns maps it to that column's index. When V
+    is kept, records maps the same rows to the matching columns of V,
+    and cycles lists (index, V column) for the columns that reduced to
+    zero. stuck lists the reduced columns of an integral reduction whose
+    lowest entry is not +1 or -1; they hold no pivot.
     """
 
     pivots: dict
+    pivot_columns: dict
     records: dict | None
     cycles: list | None
     stuck: list
@@ -286,6 +295,7 @@ def _reduce(columns, p: int | None, clear=(), keep_v: bool = False,
     entry is any other integer goes to stuck, and the loop moves on.
     """
     pivots: dict = {}
+    pivot_columns: dict = {}
     records: dict | None = {} if keep_v else None
     cycles: list | None = [] if keep_v else None
     stuck: list = []
@@ -317,13 +327,27 @@ def _reduce(columns, p: int | None, clear=(), keep_v: bool = False,
             if keep_v:
                 v = _clean({r: x * inv for r, x in v.items()}, p)
         pivots[low] = col
+        pivot_columns[low] = j
         if keep_v:
             records[low] = v
-    return _Reduction(pivots, records, cycles, stuck)
+    return _Reduction(pivots, pivot_columns, records, cycles, stuck)
 
 
 # --------------------------------------------------------------------------
 # the chain complex of a complex or a pair over one ring
+
+
+def _whole(obj) -> SimplicialComplex:
+    """A complex itself, or the total of a pair: the complex that sets the cap."""
+    return obj.total if isinstance(obj, ComplexPair) else obj
+
+
+def _cells(obj) -> tuple[tuple[Simplex, ...], ...]:
+    """The basis cells of each degree: a complex's simplices, or the
+    simplices of a pair's total outside its subcomplex."""
+    if isinstance(obj, ComplexPair):
+        return tuple(tuple(s for s in layer if not obj.sub.has(s)) for layer in obj.total.simplices)
+    return obj.simplices
 
 
 class _Reducer:
@@ -343,16 +367,13 @@ class _Reducer:
     asking from the top degree down reduces each boundary once; rank,
     basis and coords read the same reductions. An integral reducer works
     over Z: rank adds the Smith form of the residual that the stuck
-    columns leave beside the unit pivots.
+    columns leave beside the unit pivots. bases, when given, reorders
+    the cells of each degree, as tower_bars does by birth.
     """
 
-    def __init__(self, obj, p: int | None, integral: bool):
-        whole = obj.total if isinstance(obj, ComplexPair) else obj
-        if whole is obj:
-            self.bases = obj.simplices
-        else:
-            self.bases = tuple(tuple(s for s in layer if not obj.sub.has(s))
-                               for layer in whole.simplices)
+    def __init__(self, obj, p: int | None, integral: bool, bases=None):
+        whole = _whole(obj)
+        self.bases = _cells(obj) if bases is None else bases
         self.relative_nonempty = whole is not obj and obj.sub.top_dim >= 0
         self.cap = whole.max_dim
         self.truncated_dim = None if whole.complete else whole.max_dim
@@ -540,6 +561,65 @@ def cohomology(obj, coeffs: Coefficients) -> HomologyResult:
     betti = tuple(len(red.cells(k)) - ranks[k] - ranks[k + 1] for k in range(red.cap + 1))
     return HomologyResult(betti, tuple(() for _ in range(red.cap + 1)),
                           truncated_dim=red.truncated_dim)
+
+
+# --------------------------------------------------------------------------
+# bars of a tower
+
+
+def _births(stages, cap: int) -> dict:
+    """The index of the first stage holding each cell, for stages given as
+    cell layers up to cap; raises unless each stage holds the one before."""
+    birth: dict = {}
+    held = [set()] * (cap + 1)
+    for t, layers in enumerate(stages):
+        cells = [set(layer) for layer in layers] + [set()] * (cap + 1 - len(layers))
+        if not all(before <= now for before, now in zip(held, cells)):
+            raise ValueError(f"stage {t} of the tower does not contain stage {t - 1}")
+        for before, now in zip(held, cells):
+            birth.update(dict.fromkeys(now - before, t))
+        held = cells
+    return birth
+
+
+def tower_bars(tower, coeffs: Coefficients) -> tuple[tuple[tuple[int, int | None], ...], ...]:
+    """Persistence bars of a tower of complexes or pairs over a field.
+
+    tower lists complexes, or pairs, enumerated to one cap, each inside
+    the next; of a pair only the cells outside its subcomplex count. A
+    cell's birth is the index of the first stage that holds it. The cells
+    of the last stage are ordered by birth, then lexicographically, and
+    reduced once, top degree first with clearing, so each pivot pairs the
+    cell that bounds a class with the cell that gave it (Edelsbrunner and
+    Harer, Computational Topology, ch. VII). bars[k] lists (birth, death)
+    for the degree-k classes, k from 0 to the cap; death is None for a
+    class alive at the last stage, and a class born and bounded at one
+    stage gives no bar. The degree-k rank at stage t is the number of
+    bars with birth <= t < death, and the map from stage s to stage t has
+    rank the number with birth <= s and death > t. Both are exact up to
+    the stage's reliable_top.
+    """
+    p = _field_modulus(coeffs, "tower bars")
+    last = tower[-1]
+    cap = _whole(last).max_dim
+    if any(_whole(obj).max_dim != cap for obj in tower):
+        raise ValueError("the stages of a tower must share one enumeration cap")
+    if any(isinstance(obj, ComplexPair) for obj in tower):
+        _births([obj.sub.simplices if isinstance(obj, ComplexPair) else () for obj in tower], cap)
+    layers = _cells(last)
+    birth = _births([_cells(obj) for obj in tower[:-1]] + [layers], cap)
+    bases = tuple(tuple(sorted(layer, key=birth.__getitem__)) for layer in layers)
+    red = _Reducer(last, p, False, bases)
+    bars: list = [()] * (cap + 1)
+    deaths: dict = {}
+    for k in range(red.top, -1, -1):
+        pivot_columns = red.reduction(k).pivot_columns
+        born = [birth[s] for s in bases[k]]
+        negative = set(pivot_columns.values())
+        bars[k] = tuple((b, deaths.get(i)) for i, b in enumerate(born)
+                        if i not in negative and deaths.get(i) != b)
+        deaths = {row: born[j] for row, j in pivot_columns.items()}
+    return tuple(bars)
 
 
 # --------------------------------------------------------------------------

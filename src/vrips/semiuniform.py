@@ -3,10 +3,13 @@
 A finite base directed under intersection always has towers of flag
 complexes indexed by its members; when an inclusion-smallest member
 exists, the limit of the tower is just the homology at that member, and
-everything here evaluates there. The verify_* functions each check one
-axiom-shaped statement on a concrete instance and return a verdict that
-carries a witness when the check fails, so a red result is always
-accompanied by something a human can look at.
+everything here evaluates there. Whether a coarser member already
+agrees with the limit is read, over a field, off the bars of the tower
+of members above the minimum (one reduction, no map per member), and
+over the integers by comparing betti numbers and torsion. The verify_*
+functions each check one axiom-shaped statement on a concrete instance
+and return a verdict that carries a witness when the check fails, so a
+red result is always accompanied by something a human can look at.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from fractions import Fraction
 
 from .closure import Cover
 from .complexes import (
-    Inclusion,
     cover_complex,
     full_subcomplex,
     nerve_of_cover,
@@ -32,6 +34,7 @@ from .homology import (
     cohomology,
     homology,
     induced_map,
+    tower_bars,
 )
 from .relations import (
     FiniteSpace,
@@ -77,7 +80,13 @@ class MemberAgreement:
     """Whether one tower stage already agrees with the limit.
 
     Disagreement is not an error: coarse members may well have different
-    homology. betti lists the member's ranks over the compared range.
+    homology. betti lists the member's ranks over the compared range,
+    the degrees that both the member and the minimum compute exactly.
+    Over a field the member agrees when the inclusion of the minimum
+    induces isomorphisms there, read off the tower's bars: the bars born
+    at the minimum, those alive at the member and those born at the
+    minimum that outlive it are equally many. Over the integers it
+    agrees when its betti numbers and torsion equal the minimum's.
     """
 
     member_index: int
@@ -121,25 +130,49 @@ def _object_at(rel: Relation, subset, max_dim: int):
     return pair_complex(rel, subset, max_dim)
 
 
-def _inclusion_agrees(dom_obj, dom_result, u_rel: Relation, subset, coeffs: Coefficients,
-                      max_dim: int) -> tuple[bool, tuple[int, ...]]:
-    """Compare the limit stage, already built as dom_obj, against one
-    member stage of the tower.
-
-    Over a field this checks that the inclusion-induced maps are
-    isomorphisms on the reliably computed range; over the integers it
-    compares betti numbers and torsion on that range with dom_result,
-    the limit stage's unreduced homology.
-    """
+def _torsion_agrees(dom_obj, dom_result, u_rel: Relation, subset,
+                    max_dim: int) -> tuple[bool, tuple[int, ...]]:
+    """Compare the limit stage over the integers, already built as dom_obj
+    with unreduced homology dom_result, against one member stage: betti
+    numbers and torsion on the range both compute exactly."""
     cod_obj = _object_at(u_rel, subset, max_dim)
     top = min(dom_obj.reliable_top, cod_obj.reliable_top)
     if top < 0:
         return True, ()
-    if not coeffs.is_field:
-        low = _through(homology(cod_obj, coeffs), top)
-        return _through(dom_result, top) == low, low[0]
-    m = induced_map(Inclusion(dom_obj, cod_obj), coeffs, top_dim=top)
-    return all(m.is_isomorphism_at(k) for k in range(top + 1)), m.codomain_ranks
+    low = _through(homology(cod_obj, INTEGERS), top)
+    return _through(dom_result, top) == low, low[0]
+
+
+def _bar_agreement(bars, t: int, top: int) -> tuple[bool, tuple[int, ...]]:
+    """Whether stage t of a tower agrees with stage 0 in degrees 0..top,
+    and its ranks there, read off the tower's bars (see MemberAgreement).
+    A class born and bounded between the two stages changes neither."""
+    def alive(k, born_by):
+        return sum(1 for b, d in bars[k] if b <= born_by and (d is None or d > t))
+
+    betti = tuple(alive(k, t) for k in range(top + 1))
+    agrees = all(sum(1 for b, _ in bars[k] if b == 0) == betti[k] == alive(k, 0)
+                 for k in range(top + 1))
+    return agrees, betti
+
+
+def _field_stabilization(obj, others, subset, coeffs: Coefficients,
+                         max_dim: int) -> tuple[MemberAgreement, ...]:
+    """Each member in others against the limit stage obj over a field,
+    from the bars of one tower or of one tower per member (see
+    limit_homology)."""
+    order = sorted(others, key=lambda iu: len(iu[1].pairs))
+    if all(a.pairs <= b.pairs for (_, a), (_, b) in zip(order, order[1:])):
+        towers = [order]
+    else:
+        towers = [[iu] for iu in order]
+    found = {}
+    for tower in towers:
+        stages = [obj] + [_object_at(u, subset, max_dim) for _, u in tower]
+        bars = tower_bars(stages, coeffs)
+        for t, (i, _) in enumerate(tower, 1):
+            found[i] = _bar_agreement(bars, t, min(obj.reliable_top, stages[t].reliable_top))
+    return tuple(MemberAgreement(i, *found[i]) for i, _ in others)
 
 
 def limit_homology(base: SemiUniformBase, subset=None, coeffs: Coefficients = INTEGERS,
@@ -151,19 +184,27 @@ def limit_homology(base: SemiUniformBase, subset=None, coeffs: Coefficients = IN
     flag complex (or of the pair against the optional vertex subset).
     Cohomology is included for field coefficients, where the direct
     limit sits at the same member. The stabilization entries report
-    which coarser members already agree with the limit.
+    which coarser members already agree with the limit (see
+    MemberAgreement). Over a field the members, in order of pair count,
+    form one tower above the minimum when each holds the one before, as
+    a scale base's do, and that tower is reduced once for its bars;
+    otherwise each member and the minimum form a tower of their own. A
+    base with one member computes no bars.
     """
     idx, m = _minimum_or_raise(base)
     obj = _object_at(m, subset, max_dim)
     others = [(i, u) for i, u in enumerate(base.members) if i != idx]
-    # Over Z the members are compared with the minimum's unreduced groups.
-    # Over a field they go first: their inclusions reduce the minimum keeping
-    # the homology bases, and its homology then reads those reductions.
-    plain = None if coeffs.is_field else homology(obj, coeffs)
-    agreements = tuple(MemberAgreement(i, *_inclusion_agrees(obj, plain, u, subset, coeffs, max_dim))
-                       for i, u in others)
-    result = homology(obj, coeffs, reduced=reduced) if reduced or plain is None else plain
-    coh = cohomology(obj, coeffs) if coeffs.is_field else None
+    if coeffs.is_field:
+        agreements = _field_stabilization(obj, others, subset, coeffs, max_dim) if others else ()
+        result = homology(obj, coeffs, reduced=reduced)
+        coh = cohomology(obj, coeffs)
+    else:
+        # The members are compared with the minimum's unreduced groups.
+        plain = homology(obj, coeffs)
+        agreements = tuple(MemberAgreement(i, *_torsion_agrees(obj, plain, u, subset, max_dim))
+                           for i, u in others)
+        result = homology(obj, coeffs, reduced=True) if reduced else plain
+        coh = None
     inclusions = tuple(
         (i, j)
         for i, u in enumerate(base.members)

@@ -16,8 +16,10 @@ too, with the other helpers only tests use: the diagonal and full
 relations, a table from coordinates, writers for the three input
 formats, a reader for result documents, the barycentric subdivision of
 a complex (from its chains of faces), and the identity, transpose and
-product of integer matrices. Slow on purpose; only ever applied to
-small instances.
+product of integer matrices. The stabilization of a field tower is
+checked against one induced map per member, from its inclusion of the
+minimum, where the library reads the tower's bars. Slow on purpose;
+only ever applied to small instances.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ import math
 import sys
 from fractions import Fraction
 
-from vrips.complexes import SimplicialComplex
+from vrips.complexes import Inclusion, SimplicialComplex, pair_complex, vr_complex
 from vrips.documents import SCHEMA, ParseError, SpaceDocument
-from vrips.homology import IntegerMatrix
+from vrips.homology import IntegerMatrix, induced_map
 from vrips.relations import FiniteSpace, Relation, SemiPseudometric, relation, space_of_size
 
 
@@ -399,3 +401,28 @@ def determinantal_divisors(rows) -> list[int]:
             break
         factors.append(divisors[k] // divisors[k - 1])
     return factors
+
+
+def stabilization_by_induced_maps(base, coeffs, subset=None, max_dim: int = 2) -> tuple:
+    """(member index, agrees, betti) for each member of a base but its
+    minimum, over a field: the member agrees when the map its inclusion of
+    the minimum induces is an isomorphism in every degree both ends
+    compute exactly, and betti lists the member's ranks there."""
+    def build(rel):
+        return vr_complex(rel, max_dim) if subset is None else pair_complex(rel, subset, max_dim)
+
+    low = base.minimum()
+    idx = base.members.index(low)
+    dom = build(low)
+    out = []
+    for i, u in enumerate(base.members):
+        if i == idx:
+            continue
+        cod = build(u)
+        top = min(dom.reliable_top, cod.reliable_top)
+        if top < 0:
+            out.append((i, True, ()))
+            continue
+        m = induced_map(Inclusion(dom, cod), coeffs, top_dim=top)
+        out.append((i, all(m.is_isomorphism_at(k) for k in range(top + 1)), m.codomain_ranks))
+    return tuple(out)

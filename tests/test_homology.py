@@ -293,3 +293,56 @@ ten_digits = st.integers(10**9, 10**10 - 1).map(sympy.nextprime)
 @settings(max_examples=200, deadline=None)
 def test_primality_matches_sympy_on_20_digit_numbers(n):
     assert hom._is_prime(n) == sympy.isprime(n)
+
+
+@st.composite
+def nested_stages(draw):
+    """Flag complexes of growing edge sets of one random graph, to a cap of
+    1 to 3, each against one vertex subset or none."""
+    n = draw(st.integers(1, 6))
+    edges = draw(st.permutations([(i, j) for i in range(n) for j in range(i + 1, n)]))
+    cuts = sorted(draw(st.lists(st.integers(0, len(edges)), min_size=1, max_size=4)))
+    cap = draw(st.integers(1, 3))
+    subset = draw(st.none() | st.frozensets(st.integers(0, n - 1), min_size=1))
+    stages = []
+    for c in cuts:
+        rel = relation(space_of_size(n), edges[:c] + [(j, i) for i, j in edges[:c]])
+        stages.append(v.vr_complex(rel, cap) if subset is None else v.pair_complex(rel, subset, cap))
+    return stages
+
+
+def _stage_layers(obj):
+    if isinstance(obj, v.ComplexPair):
+        return [[s for s in obj.total.layer(k) if not obj.sub.has(s)]
+                for k in range(obj.total.max_dim + 1)]
+    return [list(obj.layer(k)) for k in range(obj.max_dim + 1)]
+
+
+@given(nested_stages(), st.sampled_from([None, 2, 3]))
+@settings(max_examples=80, deadline=None)
+def test_tower_bars_count_the_ranks_of_every_stage(stages, p):
+    """At stage t, the bars with birth <= t < death are as many as the
+    stage's betti numbers, from a plain elimination of its own layers."""
+    coeffs = v.RATIONALS if p is None else v.prime_field(p)
+    bars = hom.tower_bars(stages, coeffs)
+    assert all(b < d for layer in bars for b, d in layer if d is not None)
+    for t, obj in enumerate(stages):
+        alive = [sum(1 for b, d in layer if b <= t and (d is None or d > t)) for layer in bars]
+        assert alive == brute_betti(_stage_layers(obj), p)
+
+
+def test_tower_bars_refuse_what_is_no_tower(cycle4):
+    space = cycle4.space
+    path = v.graph_relation([(0, 1), (1, 2), (2, 3)], space)
+    low, high = v.vr_complex(path, 2), v.vr_complex(cycle4, 2)
+    assert hom.tower_bars([low, high], v.prime_field(2)) == (((0, None),), ((1, None),), ())
+    with pytest.raises(ValueError, match="field coefficients"):
+        hom.tower_bars([low, high], v.INTEGERS)
+    with pytest.raises(ValueError, match="does not contain stage 0"):
+        hom.tower_bars([high, low], v.RATIONALS)
+    with pytest.raises(ValueError, match="one enumeration cap"):
+        hom.tower_bars([low, v.vr_complex(cycle4, 3)], v.RATIONALS)
+    # Relative cells that nest are not enough: the subcomplexes must too.
+    shrinking = [v.pair_complex(path, [0, 1, 2, 3], 2), v.pair_complex(cycle4, [0], 2)]
+    with pytest.raises(ValueError, match="does not contain stage 0"):
+        hom.tower_bars(shrinking, v.RATIONALS)

@@ -27,4 +27,4 @@ def test_library_example_states_its_values():
             stated += 1
         else:
             exec(code, namespace)
-    assert stated == 4
+    assert stated == 5

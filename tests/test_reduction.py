@@ -10,6 +10,7 @@ theorem, and homology bases with their defining properties.
 
 import gc
 import importlib
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -329,20 +330,51 @@ def test_a_second_integer_homology_call_runs_no_smith_form(monkeypatch):
 
 
 def test_a_field_tower_reduces_each_degree_of_its_minimum_once(monkeypatch):
-    """The members' inclusions need the minimum's homology bases; asked
-    for before its ranks, they leave no degree to reduce a second time."""
+    """A field tower reads its stabilization off one filtered reduction of
+    its largest member. No member builds an induced map or keeps reduction
+    records. The minimum's degrees are reduced once for its homology, the
+    filtered chain's once for the bars, and cohomology does the rest."""
     d = circle_metric(8)
     d = v.SemiPseudometric(v.FiniteSpace(tuple(f"tower-{i}" for i in range(8))), d.dist)
     base = v.scale_base(d, Fraction(4, 5), [Fraction(1, 10), Fraction(7, 10), Fraction(11, 10)])
     assert len(base.members) == 3
-    low = v.vr_complex(base.minimum(), 2)
-    # Degree 0 is left out: every member has the same vertex columns.
-    degrees = [hom._reducer(low, None).columns(k) for k in range(1, low.top_dim + 1)]
-    calls = counting_reduce(monkeypatch)
+    stages = [v.vr_complex(u, 2) for u in sorted(base.members, key=lambda u: len(u.pairs))]
+    low, last = stages[0], stages[-1]
+    birth: dict = {}
+    for t, k in enumerate(stages):
+        for layer in k.simplices:
+            for s in layer:
+                birth.setdefault(s, t)
+    filtered = hom._Reducer(last, None, False, tuple(tuple(sorted(layer, key=lambda s: (birth[s], s)))
+                                                     for layer in last.simplices))
+    minimum = [hom._reducer(low, None).columns(k) for k in range(1, low.top_dim + 1)]
+    chain = [filtered.columns(k) for k in range(last.top_dim + 1)]
+    assert all(c not in chain for c in minimum)
+
+    calls = []
+    reduce = hom._reduce
+    signature = inspect.signature(reduce)
+
+    def counting(columns, *args, **kwargs):
+        columns = list(columns)
+        keep_v = signature.bind(columns, *args, **kwargs).arguments.get("keep_v", False)
+        calls.append((columns, keep_v))
+        return reduce(columns, *args, **kwargs)
+
+    def no_map(*args):
+        raise AssertionError("a member's induced map was built")
+
+    monkeypatch.setattr(hom, "_reduce", counting)
+    monkeypatch.setattr(hom, "_chain_map", no_map)
     report = v.limit_homology(base, coeffs=v.RATIONALS)
     assert report.result.betti == (1, 1, 0)
-    assert len(report.stabilization) == 2
-    assert [sum(c == cols for c in calls) for cols in degrees] == [1]
+    assert [m.agrees for m in report.stabilization] == [True, False]
+    assert not any(keep_v for _, keep_v in calls)
+    reduced = [columns for columns, _ in calls]
+    assert [sum(c == want for c in reduced) for want in minimum] == [1] * len(minimum)
+    assert [sum(c == want for c in reduced) for want in chain] == [1] * len(chain)
+    # Cohomology reduces each coboundary of the minimum apart, on purpose.
+    assert len(calls) == len(minimum) + len(chain) + low.top_dim
 
 
 @given(chain_objects(), st.permutations(list(range(6)) * 2))

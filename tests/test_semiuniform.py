@@ -7,11 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vrips as v
+from vrips.homology import tower_bars
 from vrips.relations import metric_relation, relation, space_of_size
 import vrips.semiuniform as su
 from vrips.semiuniform import NoMinimumError, interval_space
 from conftest import circle_metric, metrics
-from oracles import brute_scale_pairs, full_relation, interval_pairs, interval_table
+from oracles import (
+    brute_scale_pairs,
+    full_relation,
+    interval_pairs,
+    interval_table,
+    stabilization_by_induced_maps,
+)
 
 
 HALF = Fraction(1, 2)
@@ -69,6 +76,52 @@ def test_scale_base_minimum_is_the_tightest_scale(d, data):
     deltas = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3), label="deltas")
     base = v.scale_base(d, q, deltas)
     assert base.minimum() == metric_relation(d, q + min(deltas), mode="strict")
+
+
+@st.composite
+def towers(draw):
+    """A scale base over a table with tied distances, or a base of two to
+    four random symmetric relations, whose members need not nest."""
+    if draw(st.booleans()):
+        d = draw(metrics(max_points=6))
+        q = draw(st.sampled_from([Fraction(k, 4) for k in range(9)]))
+        offsets = st.sampled_from([Fraction(k, 8) for k in range(1, 13)])
+        return v.scale_base(d, q, draw(st.lists(offsets, min_size=1, max_size=4)))
+    n = draw(st.integers(2, 6))
+    pairs = st.frozensets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n * n)
+    members = [relation(space_of_size(n), set(ps) | {(j, i) for i, j in ps})
+               for ps in draw(st.lists(pairs, min_size=2, max_size=4))]
+    return v.SemiUniformBase.from_members(members)
+
+
+@given(towers(), st.sampled_from([v.RATIONALS, v.prime_field(2), v.prime_field(3)]),
+       st.integers(1, 3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_field_stabilization_matches_the_induced_maps(base, coeffs, cap, data):
+    """Read off the bars, each member's agreement and ranks are those of
+    the map its inclusion of the minimum induces, for complexes and pairs."""
+    n = base.space.size
+    subset = data.draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, unique=True),
+                       label="subset")
+    report = v.limit_homology(base, subset=subset, coeffs=coeffs, max_dim=cap)
+    got = tuple((m.member_index, m.agrees, m.betti) for m in report.stabilization)
+    assert got == stabilization_by_induced_maps(base, coeffs, subset, cap)
+
+
+def test_a_class_born_and_bounded_above_the_minimum_keeps_the_isomorphism():
+    """The square 0-1-2-3 closes into a loop at member 1 and is filled at
+    member 2, so only member 1 disagrees with the minimum, a path."""
+    table = ((0, 1, Fraction(6, 5), 1), (1, 0, 1, Fraction(3, 2)),
+             (Fraction(6, 5), 1, 0, Fraction(11, 10)), (1, Fraction(3, 2), Fraction(11, 10), 0))
+    d = v.SemiPseudometric(space_of_size(4), tuple(tuple(Fraction(x) for x in row) for row in table))
+    base = v.scale_base(d, 1, [Fraction(1, 20), Fraction(3, 20), Fraction(1, 4)])
+    report = v.limit_homology(base, coeffs=v.RATIONALS)
+    assert [m.agrees for m in report.stabilization] == [False, True]
+    assert [m.betti for m in report.stabilization] == [(1, 1, 0), (1, 0)]
+    assert tower_bars([v.vr_complex(u, 2) for u in base.members], v.RATIONALS) == (
+        ((0, None),), ((1, 2),), ())
+    got = tuple((m.member_index, m.agrees, m.betti) for m in report.stabilization)
+    assert got == stabilization_by_induced_maps(base, v.RATIONALS)
 
 
 def test_missing_minimum_raises():
