@@ -31,16 +31,28 @@ bottom dimension up, on purpose apart from the reducer's reductions, so
 that comparing it with homology over a field checks one computation
 against another.
 
+Degree 0 is connectivity, so it is read off one union-find over the
+edges in basis order instead of an elimination (Bauer, Ripser, 2021).
+The older root wins each merge, the elder rule, so each merge is the
+pivot that the column reduction of d_1 would give, and every such pivot
+is +1 or -1: rank d_1 is the merge count with no torsion, the H_0 basis
+is the surviving roots, and degree-0 coordinates are coefficient sums
+per component. A pair's subcomplex is one node older than every vertex,
+so a component that meets it has no relative class. d_1 is eliminated
+only when a degree-1 basis needs its reduction records.
+
 Induced maps are computed over a field only, relative to deterministic
 homology bases. In degree k the representatives are the reduction
 records (columns of V) of the d_k columns that reduce to zero and are
 not pivot rows of d_{k+1}. Together with the reduced columns of d_{k+1}
 they have distinct lowest rows, so coordinates come from
-back-substitution on those rows. Maps between the same complexes
-therefore compare as plain matrices. Inclusions, quotients, vertex
-maps and the connecting map of a pair (a relative cell goes to its
-signed faces) all go through one chain-map routine, and the long exact
-sequence check verifies exactness of the last three by rank counting.
+back-substitution on those rows. In degree 0 they are the union-find's
+roots: the vertices that are no pivot row of d_1. Maps between the same
+complexes therefore compare as plain matrices. Inclusions, quotients,
+vertex maps and the connecting map of a pair (a relative cell goes to
+its signed faces) all go through one chain-map routine, and the long
+exact sequence check verifies exactness of the last three by rank
+counting.
 
 A tower of complexes (or pairs), each inside the next, has bars from
 one reduction of its last stage over a field (tower_bars): each cell is
@@ -365,7 +377,9 @@ class _Reducer:
 
     reduction(k) clears degree k with the pivots of reduction(k + 1), so
     asking from the top degree down reduces each boundary once; rank,
-    basis and coords read the same reductions. An integral reducer works
+    basis and coords read the same reductions. Degree 0 and the rank of
+    d_1 read the union-find of forest() instead, so d_1 is reduced only
+    for a degree-1 basis or coordinates. An integral reducer works
     over Z: rank adds the Smith form of the residual that the stuck
     columns leave beside the unit pivots. bases, when given, reorders
     the cells of each degree, as tower_bars does by birth.
@@ -383,6 +397,7 @@ class _Reducer:
         self._reductions: dict[int, _Reduction] = {}
         self._residuals: dict[int, tuple[int, tuple[int, ...]]] = {}
         self._by_low: dict[int, dict] = {}
+        self._forest: tuple[dict, list] | None = None
 
     @property
     def top(self) -> int:
@@ -406,6 +421,48 @@ class _Reducer:
             self._columns[k] = cols
         return self._columns[k]
 
+    def forest(self) -> tuple[dict, list]:
+        """Degree 0 from one union-find over the edges, in basis order.
+
+        Node 0 stands for the subcomplex of a pair and node i + 1 for
+        basis vertex i, so the subcomplex is older than every vertex. An
+        edge that joins two trees hangs the younger root below the older
+        one (the elder rule) and records younger root -> edge index: the
+        pivot row and column that the edge takes in the reduction of d_1,
+        where every pivot is +1 or -1. Returns those merges and, for each
+        vertex, the index of its class in basis(0), or None when its
+        component meets the subcomplex.
+        """
+        if self._forest is None:
+            node = {s[0]: i for i, s in enumerate(self.cells(0), 1)}
+            parent = list(range(len(node) + 1))
+            merges: dict = {}
+            for j, (a, b) in enumerate(self.cells(1)):
+                x, y = node.get(a, 0), node.get(b, 0)
+                # Path halving.
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                while parent[y] != y:
+                    parent[y] = y = parent[parent[y]]
+                if x != y:
+                    old, young = (x, y) if x < y else (y, x)
+                    parent[young] = old
+                    merges[young - 1] = j
+            # A parent is older than its child, so one pass in node order
+            # leaves every node pointing at its root.
+            for x in range(1, len(parent)):
+                parent[x] = parent[parent[x]]
+            classes: dict = {}
+            slots = [classes.setdefault(r, len(classes)) if r else None for r in parent[1:]]
+            self._forest = merges, slots
+        return self._forest
+
+    def pivot_columns(self, k: int) -> dict:
+        """Pivot row -> column index in the reduction of d_k (d_0 is zero)."""
+        if k == 1:
+            return self.forest()[0]
+        return self.reduction(k).pivot_columns if k else {}
+
     def reduction(self, k: int, keep_v: bool = False) -> _Reduction:
         red = self._reductions.get(k)
         if red is None or (keep_v and red.records is None):
@@ -416,6 +473,8 @@ class _Reducer:
 
     def rank(self, k: int) -> tuple[int, tuple[int, ...]]:
         """Rank of d_k and the torsion it leaves in degree k - 1."""
+        if k == 1:
+            return len(self.forest()[0]), ()
         red = self.reduction(k)
         if not red.stuck:
             return len(red.pivots), ()
@@ -440,6 +499,9 @@ class _Reducer:
 
     def basis(self, k: int) -> list[dict]:
         """Representatives of a degree-k homology basis, over a field."""
+        if k == 0:
+            merges = self.forest()[0]
+            return [{i: 1} for i in range(len(self.cells(0))) if i not in merges]
         return [v for _, v in self.reduction(k, keep_v=True).cycles]
 
     def coords(self, k: int, vec: dict) -> tuple:
@@ -447,8 +509,16 @@ class _Reducer:
 
         Every reduced column of d_{k+1} and every representative is 1 at
         its lowest row, and those rows are distinct, so back-substitution
-        on them reads the coordinates off.
+        on them reads the coordinates off. In degree 0 a coordinate is the
+        sum of the coefficients on one component of the forest.
         """
+        if k == 0:
+            merges, slots = self.forest()
+            out = [0] * (len(slots) - len(merges))
+            for i, c in vec.items():
+                if slots[i] is not None:
+                    out[slots[i]] += c
+            return tuple(_field_value(x % self.p if self.p else x, self.p) for x in out)
         by_low = self._by_low.get(k)
         if by_low is None:
             by_low = {low: (col, None) for low, col in self.reduction(k + 1).pivots.items()}
@@ -613,7 +683,7 @@ def tower_bars(tower, coeffs: Coefficients) -> tuple[tuple[tuple[int, int | None
     bars: list = [()] * (cap + 1)
     deaths: dict = {}
     for k in range(red.top, -1, -1):
-        pivot_columns = red.reduction(k).pivot_columns
+        pivot_columns = red.pivot_columns(k)
         born = [birth[s] for s in bases[k]]
         negative = set(pivot_columns.values())
         bars[k] = tuple((b, deaths.get(i)) for i, b in enumerate(born)

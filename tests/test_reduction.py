@@ -5,7 +5,8 @@ not share its algorithm: ranks with the plain eliminations in
 oracles.py on boundary matrices built there from the simplex layers,
 integer homology with sympy's Smith normal form and with complexes of
 known torsion, prime-field homology with the universal coefficient
-theorem, and homology bases with their defining properties.
+theorem, homology bases with their defining properties, and degree 0's
+union-find with the elimination of d_1 that it replaces.
 """
 
 import gc
@@ -21,6 +22,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 import vrips as v
 from vrips.relations import space_of_size
+from vrips.suites import SuiteConfig, run_suite
 from conftest import RP2_FACES, any_relations, circle_metric, explicit_complexes
 from oracles import barycentric_subdivision, boundary_from_layers, frac_rank, modp_rank
 
@@ -155,10 +157,11 @@ def test_non_unit_pivot_leaves_a_residual_smith_form(rp2, monkeypatch):
 
 
 class MatrixChains(hom._Reducer):
-    """Stand-in for an integral reducer whose one boundary, d_1, is the
-    given integer matrix."""
+    """Stand-in for an integral reducer whose top boundary, d_2, is the
+    given integer matrix. Degree 1 is a union-find over edges, not an
+    elimination, so arbitrary columns are fed in one degree higher."""
 
-    top = 1
+    top = 2
 
     def __init__(self, rows):
         super().__init__(v.explicit_complex(space_of_size(1), [(0,)]), None, integral=True)
@@ -175,7 +178,7 @@ class MatrixChains(hom._Reducer):
 def test_residual_smith_form_of_any_integer_columns(rows):
     d = sympy_diagonal(rows)
     want = (sum(1 for x in d if x), tuple(x for x in d if x > 1))
-    assert MatrixChains(rows).rank(1) == want
+    assert MatrixChains(rows).rank(2) == want
 
 
 @given(st.permutations(range(6)))
@@ -249,6 +252,152 @@ def test_homology_bases_are_bases(obj, p):
                     reducer.coords(k, {j: 1})
 
 
+# --------------------------------------------------------------------------
+# degree 0 by union-find, against the elimination of d_1 that it replaces
+
+
+class EliminatedDegreeZero(hom._Reducer):
+    """A reducer that answers degree 0 by eliminating d_1 and then d_0
+    with _reduce: rank d_1 is the pivot count, the H_0 basis is the
+    vertices that are no pivot row of d_1, and coordinates come from
+    back-substitution on the reduced columns of d_1."""
+
+    def rank(self, k):
+        if k != 1:
+            return super().rank(k)
+        red = self.reduction(1)
+        assert not red.stuck, "a pivot of d_1 is not a unit"
+        return len(red.pivots), ()
+
+    def basis(self, k):
+        if k:
+            return super().basis(k)
+        zero = hom._reduce([{} for _ in self.cells(0)], self.p, self.reduction(1).pivots, keep_v=True)
+        return [rep for _, rep in zero.cycles]
+
+    def coords(self, k, vec):
+        if k:
+            return super().coords(k, vec)
+        slot = {next(iter(rep)): i for i, rep in enumerate(self.basis(0))}
+        pivots = self.reduction(1).pivots
+        out = [hom._field_value(0, self.p)] * len(slot)
+        w = dict(vec)
+        while w:
+            low = max(w)
+            c = w[low]
+            if low in slot:
+                out[slot[low]] = hom._field_value(c, self.p)
+                del w[low]
+            else:
+                hom._axpy(w, c, pivots[low], self.p)
+        return tuple(out)
+
+
+RINGS = {"Z": (None, True), "Q": (None, False), "F2": (2, False), "F3": (3, False)}
+
+
+@st.composite
+def degree_zero_objects(draw):
+    """A chain object, or a pair whose subcomplex is some of the total's
+    vertices alone, so that edges between subcomplex vertices are cells."""
+    obj = draw(chain_objects())
+    if isinstance(obj, v.ComplexPair) or not obj.vertices() or draw(st.booleans()):
+        return obj
+    pts = draw(st.frozensets(st.sampled_from(sorted(obj.vertices())), min_size=1))
+    return v.ComplexPair(obj, v.explicit_complex(obj.space, [(x,) for x in pts], max_dim=obj.max_dim))
+
+
+def zero_chains(n: int, p):
+    coefficient = st.integers(-4, 4) if p else st.integers(-4, 4) | st.fractions(-3, 3, max_denominator=4)
+    return st.dictionaries(st.integers(0, n - 1), coefficient) if n else st.just({})
+
+
+@given(degree_zero_objects(), st.sampled_from(sorted(RINGS)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_degree_zero_forest_matches_the_elimination_of_d1(obj, ring, data):
+    p, integral = RINGS[ring]
+    forest, oracle = hom._Reducer(obj, p, integral), EliminatedDegreeZero(obj, p, integral)
+    vecs = [hom._clean(data.draw(zero_chains(len(forest.cells(0)), p)), p) for _ in range(3)]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counting_reduce(mp)
+        got = forest.rank(1), forest.basis(0), [forest.coords(0, vec) for vec in vecs]
+    assert not calls, "degree 0 eliminated a boundary"
+    rank, torsion = oracle.rank(1)
+    assert got == ((rank, torsion), oracle.basis(0), [oracle.coords(0, vec) for vec in vecs])
+    assert torsion == ()
+
+
+@given(degree_zero_objects(), st.sampled_from([None, 2, 3]))
+@settings(max_examples=100, deadline=None)
+def test_homology_with_generators_matches_the_elimination_of_d1(obj, p):
+    coeffs = v.RATIONALS if p is None else v.prime_field(p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hom, "_reducer", lambda obj, p, integral=False: EliminatedDegreeZero(obj, p, integral))
+        want = v.homology(obj, coeffs, with_generators=True), v.homology(obj)
+    assert (v.homology(obj, coeffs, with_generators=True), v.homology(obj)) == want
+
+
+def test_a_component_that_meets_the_subcomplex_has_no_relative_class():
+    # Two components, a-b and c-d-e, with the subcomplex at b alone.
+    space = v.FiniteSpace(tuple("abcde"))
+    k = v.clique_complex(v.graph_relation([(0, 1), (2, 3), (3, 4)], space), 1)
+    pair = v.ComplexPair(k, v.full_subcomplex(k, [1]))
+    assert v.homology(pair).betti == (1, 0)
+    gens = v.homology(pair, v.RATIONALS, with_generators=True).generators
+    assert gens[0] == ((((2,), 1),),)
+    # Against the vertices a, b and c alone, both components meet the
+    # subcomplex, and the edge a-b, whose ends both lie in it, is a
+    # relative cycle that nothing bounds.
+    sparse = v.ComplexPair(k, v.explicit_complex(space, [(0,), (1,), (2,)], max_dim=1))
+    assert v.homology(sparse).betti == (0, 1)
+
+
+@st.composite
+def growing_complexes(draw):
+    """Explicit complexes on one space, each adding simplices to the one
+    before, to one cap of 1 to 3, so vertices are born late as well as
+    edges; each against its full subcomplex on one vertex subset, or
+    alone."""
+    n = draw(st.integers(1, 6))
+    tops = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=3),
+                         min_size=1, max_size=8))
+    cuts = sorted(draw(st.lists(st.integers(1, len(tops)), min_size=1, max_size=4)))
+    cap = draw(st.integers(1, 3))
+    subset = draw(st.none() | st.frozensets(st.integers(0, n - 1), min_size=1))
+    stages = []
+    for c in cuts:
+        k = v.explicit_complex(space_of_size(n), [tuple(sorted(s)) for s in tops[:c]], max_dim=cap)
+        stages.append(k if subset is None else v.ComplexPair(k, v.full_subcomplex(k, subset)))
+    return stages
+
+
+def eliminated_low_bars(stages, p):
+    """Bars of degrees 0 and 1 from plain reductions of d_1 and d_2 of the
+    last stage, its cells ordered by birth and then lexicographically."""
+    birth: dict = {}
+    for t, obj in enumerate(stages):
+        for layer in relative_layers(obj):
+            for s in layer:
+                birth.setdefault(s, t)
+    bases = tuple(tuple(sorted(layer, key=lambda s: (birth[s], s))) for layer in relative_layers(stages[-1]))
+    chains = hom._Reducer(stages[-1], p, False, bases)
+    born = [[birth[s] for s in chains.cells(k)] for k in range(3)]
+    d1, d2 = (hom._reduce(chains.columns(k), p).pivot_columns for k in (1, 2))
+    deaths0 = {row: born[1][j] for row, j in d1.items()}
+    deaths1 = {row: born[2][j] for row, j in d2.items()}
+    negative = set(d1.values())
+    return (tuple((b, deaths0.get(i)) for i, b in enumerate(born[0]) if deaths0.get(i) != b),
+            tuple((b, deaths1.get(i)) for i, b in enumerate(born[1])
+                  if i not in negative and deaths1.get(i) != b))
+
+
+@given(growing_complexes(), st.sampled_from([None, 2, 3]))
+@settings(max_examples=150, deadline=None)
+def test_low_tower_bars_match_a_plain_reduction_of_d1(stages, p):
+    coeffs = v.RATIONALS if p is None else v.prime_field(p)
+    assert hom.tower_bars(stages, coeffs)[:2] == eliminated_low_bars(stages, p)
+
+
 def counting_reduce(mp):
     """Record the columns of every _reduce call while mp is active."""
     calls = []
@@ -260,6 +409,15 @@ def counting_reduce(mp):
 
     mp.setattr(hom, "_reduce", counting)
     return calls
+
+
+def test_verify_all_at_cap_one_eliminates_nothing(monkeypatch):
+    """At max-dim 1 the suites ask for ranks of d_1 and for degree-0
+    bases, coordinates and maps only, and the union-find answers all."""
+    calls = counting_reduce(monkeypatch)
+    verdicts = run_suite("all", SuiteConfig(seed=0, trials=2, max_dim=1))
+    assert verdicts and all(verdicts)
+    assert not calls
 
 
 def test_generators_reduce_each_degree_once(monkeypatch):
@@ -332,8 +490,10 @@ def test_a_second_integer_homology_call_runs_no_smith_form(monkeypatch):
 def test_a_field_tower_reduces_each_degree_of_its_minimum_once(monkeypatch):
     """A field tower reads its stabilization off one filtered reduction of
     its largest member. No member builds an induced map or keeps reduction
-    records. The minimum's degrees are reduced once for its homology, the
-    filtered chain's once for the bars, and cohomology does the rest."""
+    records. Degrees 0 and 1 read a union-find, so no d_1 is reduced but
+    cohomology's. The minimum's higher degrees are reduced once for its
+    homology, the filtered chain's once for the bars, and cohomology does
+    the rest."""
     d = circle_metric(8)
     d = v.SemiPseudometric(v.FiniteSpace(tuple(f"tower-{i}" for i in range(8))), d.dist)
     base = v.scale_base(d, Fraction(4, 5), [Fraction(1, 10), Fraction(7, 10), Fraction(11, 10)])
@@ -371,10 +531,11 @@ def test_a_field_tower_reduces_each_degree_of_its_minimum_once(monkeypatch):
     assert [m.agrees for m in report.stabilization] == [True, False]
     assert not any(keep_v for _, keep_v in calls)
     reduced = [columns for columns, _ in calls]
-    assert [sum(c == want for c in reduced) for want in minimum] == [1] * len(minimum)
-    assert [sum(c == want for c in reduced) for want in chain] == [1] * len(chain)
+    assert (low.top_dim, last.top_dim) == (1, 2)
+    assert [sum(c == want for c in reduced) for want in minimum] == [0]
+    assert [sum(c == want for c in reduced) for want in chain] == [0, 0, 1]
     # Cohomology reduces each coboundary of the minimum apart, on purpose.
-    assert len(calls) == len(minimum) + len(chain) + low.top_dim
+    assert len(calls) == 1 + low.top_dim
 
 
 @given(chain_objects(), st.permutations(list(range(6)) * 2))
